@@ -165,7 +165,7 @@ def charpoly_roots(diag, offsq: float) -> np.ndarray:
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))    # np.float64 would print as np.float64(...)
     return str(v)
 
 
@@ -458,7 +458,7 @@ def _exp_validate(cfg: ExperimentConfig, rep: Report):
     rep.check("eigensolve.reflection_isospectral", dist <= 1e-11, 1e-11 - dist,
               f"mirror pair distance {dist:.2e}")
 
-    # tiny-instance oracle: bisection against characteristic-polynomial roots
+    # tiny-instance oracle: extraction against characteristic-polynomial roots
     gt = Grid(3.0, 7)
     T = discretize(harmonic(), 1.0, gt)
     spec = eigenvalues_below(T, 1e6, tol=1e-13, cap=1024, check_margin=False)

@@ -1,13 +1,14 @@
 """Dirichlet eigensolver for -h^2 u'' + V u on a symmetric truncated grid.
 
 The operator is discretized with the standard 3-point stencil into a
-symmetric tridiagonal matrix.  Eigenvalues come from Sturm-sequence
-bisection (which also provides counting, used by cross-checks), and each
-one is then polished by inverse iteration plus a compensated Rayleigh
-quotient.  The polish matters: bisection alone cannot locate an eigenvalue
-more tightly than a few ulps of ||T||, and the matrix norm grows like
-2 h^2/dx^2, which would drown the tiny spectral differences this package
-exists to measure.
+symmetric tridiagonal matrix.  LAPACK ``dstebz`` (Kahan's Sturm-sequence
+bisection) brackets every eigenvalue in the window, and each one is then
+polished by inverse iteration plus a compensated Rayleigh quotient.  The
+polish matters: bisection alone cannot locate an eigenvalue more tightly
+than a few ulps of ||T||, and the matrix norm grows like 2 h^2/dx^2, which
+would drown the tiny spectral differences this package exists to measure.
+A plain Sturm count (``count_below``) is kept as an independent
+cross-check of the extraction.
 
 Grids are built exactly symmetric about 0 (nodes are signed multiples of
 dx), so reflecting a potential reverses the diagonal bitwise and exact
@@ -16,10 +17,11 @@ mirror pairs stay exactly isospectral in floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from . import _dd
 from .errors import ConvergenceError, GridMarginError, PreconditionError, WindowCapError
@@ -123,68 +125,35 @@ def discretize(p: PotentialSpec, h: float, grid: Grid,
 
 
 # ---------------------------------------------------------------------------
-# Sturm counts and bisection
+# Sturm count
 # ---------------------------------------------------------------------------
 
-def _sturm_counts(diag_tasks: np.ndarray, offsq: np.ndarray, lams: np.ndarray):
-    """Negative-pivot counts of the shifted LDL^T factorizations.
+def _sturm_count(diag: np.ndarray, offsq: float, lam: float) -> tuple[int, bool]:
+    """Negative-pivot count of the LDL^T factorization of T - lam.
 
-    ``diag_tasks`` has shape (n, K): one column per query, so independent
-    shifts, operators and grids of equal n share one pass.  Returns the
-    counts and a mask of queries that hit a near-zero pivot.
+    Also reports whether some pivot collided with zero (and was replaced
+    by -pivmin).
     """
-    n = diag_tasks.shape[0]
-    pivmin = np.maximum(offsq, 1.0) * _SAFMIN
-    d = diag_tasks[0] - lams
-    coll = np.abs(d) <= pivmin
-    d = np.where(coll, -pivmin, d)
-    counts = (d < 0.0).astype(np.int64)
-    collided = coll.copy()
-    for i in range(1, n):
-        d = diag_tasks[i] - lams - offsq / d
-        coll = np.abs(d) <= pivmin
-        d = np.where(coll, -pivmin, d)
-        collided |= coll
-        counts += d < 0.0
-    return counts, collided
-
-
-def _counts_with_nudge(diag_tasks, offsq, lams):
-    """Counts, re-evaluating any query that collided with a pivot one ulp up."""
-    counts, collided = _sturm_counts(diag_tasks, offsq, lams)
-    if collided.any():
-        idx = np.nonzero(collided)[0]
-        lam2 = np.nextafter(lams[idx], np.inf)
-        c2, _ = _sturm_counts(diag_tasks[:, idx], offsq[idx], lam2)
-        counts[idx] = c2
-    return counts
+    pivmin = max(offsq, 1.0) * _SAFMIN
+    count, collided, d = 0, False, math.inf
+    for a in diag.tolist():
+        d = a - lam - offsq / d
+        if abs(d) <= pivmin:
+            d, collided = -pivmin, True
+        count += d < 0.0
+    return count, collided
 
 
 def count_below(T: TridiagonalOperator, lam: float) -> int:
-    """Number of eigenvalues of T strictly below ``lam``."""
-    diag_tasks = T.diag[:, None]
-    offsq = np.array([T.off_value * T.off_value])
-    counts = _counts_with_nudge(diag_tasks, offsq, np.array([float(lam)]))
-    return int(counts[0])
+    """Number of eigenvalues of T strictly below ``lam``.
 
-
-def _bisect_tasks(diag_tasks, offsq, ks, lo, hi, tol):
-    """Batched bisection: shrink [lo_k, hi_k] around the ks[k]-th eigenvalue.
-
-    Maintains counts(lo) < k <= counts(hi) for every task.
+    A query that collides with a pivot is re-evaluated one ulp up.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    while True:
-        width = hi - lo
-        if np.all(width <= tol):
-            break
-        mid = 0.5 * (lo + hi)
-        counts = _counts_with_nudge(diag_tasks, offsq, mid)
-        up = counts >= ks
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    return lo, hi
+    offsq = T.off_value * T.off_value
+    count, collided = _sturm_count(T.diag, offsq, float(lam))
+    if collided:
+        count, _ = _sturm_count(T.diag, offsq, float(np.nextafter(lam, np.inf)))
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +226,6 @@ class Spectrum:
     error_estimate: np.ndarray
     grid: Grid
     E_window: float
-    polished: bool = True
     refined: bool = False
 
     def __len__(self) -> int:
@@ -295,104 +263,54 @@ class Spectrum:
         }
 
 
-def _empty_spectrum(h, grid, E) -> Spectrum:
-    z = np.zeros(0)
-    return Spectrum(h=h, eigenvalues=z, eigenvalues_lo=z.copy(),
-                    error_estimate=z.copy(), grid=grid, E_window=E)
-
-
 def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
-                            tol: float | None = None, polish: bool = True,
-                            cap: int = 512, check_margin: bool = True) -> list[Spectrum]:
-    """All eigenvalues below E for several same-size operators in one sweep.
+                            tol: float | None = None, cap: int = 512,
+                            check_margin: bool = True) -> list[Spectrum]:
+    """The polished eigenvalues of each operator in its window (vl, E].
 
-    Batching the bisections of every (operator, index) pair into shared
-    passes keeps the Python-level loop over matrix rows from dominating.
+    vl lies below the operator's Gershgorin bound, so the window holds every
+    eigenvalue up to E.  LAPACK ``dstebz`` brackets each one to width tol
+    (default 1e-13 * max(1, E)) and the midpoint is then polished.  More
+    than ``cap`` levels in a window raise ``WindowCapError``.
     ``check_margin=False`` skips the turning-point margin guard (useful when
     the matrix itself, not the continuum problem, is the object of study).
     """
-    if not ops:
-        return []
-    n = ops[0].n
-    if any(op.n != n for op in ops):
-        raise PreconditionError("batched operators must share the grid size")
-    E_arr = np.asarray([float(e) for e in E_list])
-    if E_arr.size != len(ops):
+    Es = [float(e) for e in E_list]
+    if len(Es) != len(ops):
         raise PreconditionError("need one window per operator")
-    if check_margin:
-        for op, e in zip(ops, E_arr):
-            if op.v_boundary < e + 10.0:
-                raise GridMarginError(
-                    f"V at the boundary is {op.v_boundary:.3f} < E + 10 = {e + 10.0:.3f}; "
-                    f"increase L")
-
-    offsq_ops = np.array([op.off_value ** 2 for op in ops])
-    diag_ops = np.stack([op.diag for op in ops], axis=1)
-
-    m_per_op = _counts_with_nudge(diag_ops, offsq_ops, E_arr)
-    for op, m, e in zip(ops, m_per_op, E_arr):
-        if m > cap:
-            raise WindowCapError(f"{m} eigenvalues below E = {e}; cap is {cap}")
-
-    # flatten (operator, k) tasks
-    col_idx = np.concatenate([np.full(m, i, dtype=np.intp)
-                              for i, m in enumerate(m_per_op)]) \
-        if m_per_op.sum() else np.zeros(0, dtype=np.intp)
-    ks = np.concatenate([np.arange(1, m + 1) for m in m_per_op]) \
-        if m_per_op.sum() else np.zeros(0, dtype=np.int64)
-
     results: list[Spectrum] = []
-    if col_idx.size == 0:
-        return [_empty_spectrum(op.h, op.grid, e) for op, e in zip(ops, E_arr)]
-
-    diag_tasks = np.ascontiguousarray(diag_ops[:, col_idx])
-    offsq_tasks = offsq_ops[col_idx]
-    hi0 = E_arr[col_idx]
-    lo0 = np.zeros_like(hi0)
-
-    if tol is None:
-        tol_tasks = 1e-13 * np.maximum(1.0, hi0)
-    else:
-        tol_tasks = np.full(hi0.shape, float(tol))
-
-    lo, hi = _bisect_tasks(diag_tasks, offsq_tasks, ks, lo0, hi0, tol_tasks)
-    mids = 0.5 * (lo + hi)
-    widths = hi - lo
-
-    pos = 0
-    for i, (op, m, e) in enumerate(zip(ops, m_per_op, E_arr)):
-        m = int(m)
-        lam = mids[pos:pos + m].copy()
-        wid = widths[pos:pos + m].copy()
-        pos += m
-        lam_lo = np.zeros(m)
-        est = 0.5 * wid + 6.0 * _EPS * op.norm1()
-        if polish:
-            for k in range(m):
-                hi_k, lo_k, _ = _polish_one(op, lam[k])
-                lam[k] = hi_k
-                lam_lo[k] = lo_k
-            # polished values are exact eigenvalues of the stored matrix to
-            # a few ulps; the width still bounds the bracket
-            est = np.minimum(est, 0.5 * wid + 8.0 * _EPS * np.maximum(1.0, np.abs(lam)))
-        full = lam + lam_lo
-        if np.any(np.diff(full) <= 0.0):
-            raise ConvergenceError("bisection produced a non-increasing eigenvalue list")
+    for op, E in zip(ops, Es):
+        if check_margin and op.v_boundary < E + 10.0:
+            raise GridMarginError(
+                f"V at the boundary is {op.v_boundary:.3f} < E + 10 = {E + 10.0:.3f}; "
+                f"increase L")
+        t = float(tol) if tol is not None else 1e-13 * max(1.0, E)
+        gershgorin = float(np.min(op.diag)) - 2.0 * abs(op.off_value)
+        # the margin covers rounding in the bound; dstebz clips the search
+        # interval to its own Gershgorin bound, so it costs no extra steps
+        vl = gershgorin - 1.0 - 8.0 * _EPS * op.norm1()
+        lam = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
+                                   select_range=(vl, E), check_finite=False,
+                                   tol=t, lapack_driver="stebz")
+        if lam.size > cap:
+            raise WindowCapError(f"{lam.size} eigenvalues below E = {E}; cap is {cap}")
+        lam_lo = np.zeros(lam.size)
+        for k in range(lam.size):
+            lam[k], lam_lo[k], _ = _polish_one(op, lam[k])
+        if np.any(np.diff(lam + lam_lo) <= 0.0):
+            raise ConvergenceError("polish produced a non-increasing eigenvalue list")
+        # the bracket bounds where each level lies; the polished value is an
+        # eigenvalue of the stored matrix to a few ulps
+        est = 0.5 * t + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
         results.append(Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
-                                error_estimate=est, grid=op.grid, E_window=float(e),
-                                polished=polish))
+                                error_estimate=est, grid=op.grid, E_window=E))
     return results
 
 
 def eigenvalues_below(T: TridiagonalOperator, E: float, tol: float | None = None,
-                      polish: bool = True, cap: int = 512,
-                      check_margin: bool = True) -> Spectrum:
-    """All eigenvalues of T strictly below E, bisected to width <= tol.
-
-    Default tol is 1e-13 * max(1, E); each eigenvalue is then polished to a
-    few ulps of the matrix eigenvalue unless ``polish`` is disabled.
-    """
-    return eigenvalues_below_multi([T], [E], tol=tol, polish=polish, cap=cap,
+                      cap: int = 512, check_margin: bool = True) -> Spectrum:
+    """The polished eigenvalues of T in (vl, E]; see ``eigenvalues_below_multi``."""
+    return eigenvalues_below_multi([T], [E], tol=tol, cap=cap,
                                    check_margin=check_margin)[0]
 
 
@@ -422,35 +340,29 @@ def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
     est = np.abs(diff) / 3.0
     return Spectrum(h=fine.h, eigenvalues=r_hi, eigenvalues_lo=r_lo,
                     error_estimate=est, grid=fine.grid, E_window=fine.E_window,
-                    polished=fine.polished, refined=True)
+                    refined=True)
 
 
 def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
                  grid_fine: Grid, grid_coarse: Grid,
-                 tol: float | None = None, polish: bool = True,
-                 cap: int = 512) -> list[Spectrum]:
-    """Richardson-refined spectra for several (potential, h, E) requests.
-
-    All requests share the two grids, so both bisection sweeps are batched.
-    """
+                 tol: float | None = None, cap: int = 512) -> list[Spectrum]:
+    """Richardson-refined spectra for several (potential, h, E) requests on one grid pair."""
     _check_grid_pair(grid_fine, grid_coarse)
     ops_f = [discretize(p, h, grid_fine, e_max=E) for (p, h, E) in entries]
     ops_c = [discretize(p, h, grid_coarse, e_max=E) for (p, h, E) in entries]
     Es = [E for (_, _, E) in entries]
-    spec_f = eigenvalues_below_multi(ops_f, Es, tol=tol, polish=polish, cap=cap)
-    spec_c = eigenvalues_below_multi(ops_c, Es, tol=tol, polish=polish, cap=cap)
+    spec_f = eigenvalues_below_multi(ops_f, Es, tol=tol, cap=cap)
+    spec_c = eigenvalues_below_multi(ops_c, Es, tol=tol, cap=cap)
     return [_richardson_combine(f, c) for f, c in zip(spec_f, spec_c)]
 
 
 def refine(p: PotentialSpec, h: float, E: float, grid_fine: Grid,
-           grid_coarse: Grid, tol: float | None = None,
-           polish: bool = True, cap: int = 512) -> Spectrum:
+           grid_coarse: Grid, tol: float | None = None, cap: int = 512) -> Spectrum:
     """Richardson-extrapolated eigenvalues (4 fine - coarse)/3 below E.
 
     The returned error_estimate per eigenvalue is |fine - coarse| / 3.
     """
-    return refine_multi([(p, h, E)], grid_fine, grid_coarse,
-                        tol=tol, polish=polish, cap=cap)[0]
+    return refine_multi([(p, h, E)], grid_fine, grid_coarse, tol=tol, cap=cap)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .eigensolve import Grid, eigenvalues_below_multi, discretize, grid_pair, refine_multi
+from .eigensolve import Grid, discretize, eigenvalues_below_multi, grid_pair, refine_multi
 from .errors import PreconditionError, WindowCapError
 from .potential import PotentialSpec, potential_eval
 
@@ -246,20 +246,6 @@ class GapEntry:
                 "n_levels": self.n_levels, "usable": int(self.usable)}
 
 
-def _distance_from_spectra(sf_p, sf_m, sc_p, sc_m) -> tuple[float, float, int]:
-    """Refined max-gap and its error estimate from fine/coarse spectra."""
-    g_f = sf_p.gaps_to(sf_m)
-    g_c = sc_p.gaps_to(sc_m)
-    m = min(g_f.size, g_c.size)
-    if m == 0:
-        return 0.0, 0.0, 0
-    g_f, g_c = g_f[:m], g_c[:m]
-    refined = (4.0 * g_f - g_c) / 3.0
-    j = int(np.argmax(np.abs(refined)))
-    est = abs(g_f[j] - g_c[j]) / 3.0 + 1e-15 * max(1.0, float(sf_p.eigenvalues[j]))
-    return float(abs(refined[j])), est, m
-
-
 def isospectral_distance_detail(h: float, E: float, p_plus: PotentialSpec,
                                 p_minus: PotentialSpec,
                                 grids: tuple[Grid, Grid],
@@ -267,16 +253,25 @@ def isospectral_distance_detail(h: float, E: float, p_plus: PotentialSpec,
     """Max per-index eigenvalue distance below E on a shared grid pair.
 
     Index pairing is positional (both spectra are simple and ordered); a
-    count mismatch at the window edge is resolved by the common count.
+    count mismatch at the window edge is resolved by the common count.  A
+    window with no common level is an error, never a zero distance.
     """
     gf, gc = grids
-    entries = [(p_plus, h, E), (p_minus, h, E)]
-    sf = eigenvalues_below_multi([discretize(p, hh, gf, e_max=E) for p, hh, E in entries],
+    pair = (p_plus, p_minus)
+    sf = eigenvalues_below_multi([discretize(p, h, gf, e_max=E) for p in pair],
                                  [E, E], tol=tol)
-    sc = eigenvalues_below_multi([discretize(p, hh, gc, e_max=E) for p, hh, E in entries],
+    sc = eigenvalues_below_multi([discretize(p, h, gc, e_max=E) for p in pair],
                                  [E, E], tol=tol)
-    D, est, m = _distance_from_spectra(sf[0], sf[1], sc[0], sc[1])
-    return GapEntry(h=h, E=E, D=D, error_estimate=est, n_levels=m)
+    g_f = sf[0].gaps_to(sf[1])
+    g_c = sc[0].gaps_to(sc[1])
+    m = min(g_f.size, g_c.size)
+    if m == 0:
+        raise PreconditionError(f"no level of the pair below E = {E} at h = {h}")
+    g_f, g_c = g_f[:m], g_c[:m]
+    refined = (4.0 * g_f - g_c) / 3.0
+    j = int(np.argmax(np.abs(refined)))
+    est = abs(g_f[j] - g_c[j]) / 3.0 + 1e-15 * max(1.0, float(sf[0].eigenvalues[j]))
+    return GapEntry(h=h, E=E, D=float(abs(refined[j])), error_estimate=est, n_levels=m)
 
 
 def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
@@ -366,33 +361,22 @@ def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
     window='ground' tracks exactly the ground level per h (E = 2h), which
     keeps one fixed eigenvalue branch under the sup and avoids spurious
     jumps when a new level enters a fixed window; a numeric window is used
-    verbatim for every h.
+    verbatim for every h.  A window without a common level (or, in ground
+    mode, without exactly one) raises ``PreconditionError``.
     """
     hs = [float(h) for h in h_list]
+    Es = [2.0 * h if window == "ground" else float(window) for h in hs]
     if grids is None:
-        Emax = max(2.0 * h if window == "ground" else float(window) for h in hs)
-        L = max(8.0, math.sqrt(Emax) + 4.0)
+        L = max(8.0, math.sqrt(max(Es)) + 4.0)
         grids = grid_pair(L, 4096)
-    gf, gc = grids
-
-    tasks = []
-    Es = []
-    for h in hs:
-        E = 2.0 * h if window == "ground" else float(window)
-        Es.append(E)
-        tasks.append((p_plus, h, E))
-        tasks.append((p_minus, h, E))
-    ops_f = [discretize(p, h, gf, e_max=E) for (p, h, E) in tasks]
-    ops_c = [discretize(p, h, gc, e_max=E) for (p, h, E) in tasks]
-    flat_E = [E for E in Es for _ in range(2)]
-    sf = eigenvalues_below_multi(ops_f, flat_E, tol=tol)
-    sc = eigenvalues_below_multi(ops_c, flat_E, tol=tol)
 
     entries = []
-    for i, (h, E) in enumerate(zip(hs, Es)):
-        D, est, m = _distance_from_spectra(sf[2 * i], sf[2 * i + 1],
-                                           sc[2 * i], sc[2 * i + 1])
-        entries.append(GapEntry(h=h, E=E, D=D, error_estimate=est, n_levels=m))
+    for h, E in zip(hs, Es):
+        e = isospectral_distance_detail(h, E, p_plus, p_minus, grids, tol=tol)
+        if window == "ground" and e.n_levels != 1:
+            raise PreconditionError(
+                f"ground window E = {E} at h = {h} holds {e.n_levels} levels, not 1")
+        entries.append(e)
 
     floor = max(1e-12, 10.0 * max((e.error_estimate for e in entries), default=0.0))
     for e in entries:

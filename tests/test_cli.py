@@ -61,6 +61,27 @@ def test_gap_sweep_mirror_pair_reports_floor(tmp_path):
     assert (tmp_path / "plot_gap_decay.py").exists()
 
 
+def test_gap_sweep_empty_window_is_an_error(tmp_path):
+    # E = 0.5 holds no level once h > 0.5: an error, not "below the noise floor"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gap_window": 0.5}))
+    assert run_cli(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_gap_sweep_csv_cells_are_numbers(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h_list": [0.5, 0.7, 1.0]}))
+    assert run_cli(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+    rows = (tmp_path / "gap-sweep_distance.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        for cell in row.split(","):
+            try:
+                int(cell)
+            except ValueError:
+                float(cell)
+
+
 def test_validate_passes(tmp_path):
     assert run_cli(["validate", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "validate_report.json").read_text())

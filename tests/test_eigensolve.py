@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from specpair.cli import charpoly_roots
 from specpair.errors import GridMarginError, PreconditionError, WindowCapError
 from specpair.potential import PotentialSpec, default_pair, harmonic
 from specpair.eigensolve import (
@@ -14,34 +16,6 @@ from specpair.eigensolve import (
     grid_pair,
     refine,
 )
-
-
-def charpoly_roots(diag, offsq):
-    """Oracle: characteristic-polynomial roots, Newton-refined."""
-    poly = np.poly1d([1.0])
-    prev = np.poly1d([0.0])
-    for d in diag:
-        poly, prev = np.poly1d([-1.0, d]) * poly - offsq * prev, poly
-    roots = np.sort(np.roots(poly.coefficients).real)
-
-    def p_dp(lam):
-        p_prev, p = 1.0, diag[0] - lam
-        dp_prev, dp = 0.0, -1.0
-        for d in diag[1:]:
-            p_prev, p, dp_prev, dp = (p, (d - lam) * p - offsq * p_prev,
-                                      dp, -p + (d - lam) * dp - offsq * dp_prev)
-        return p, dp
-
-    out = []
-    for r in roots:
-        x = float(r)
-        for _ in range(4):
-            p, dp = p_dp(x)
-            if dp == 0.0:
-                break
-            x -= p / dp
-        out.append(x)
-    return np.sort(out)
 
 
 def test_grid_nodes_exactly_symmetric():
@@ -224,3 +198,19 @@ def test_spectrum_csv_rows():
     rows = list(spec.to_csv_rows())
     assert [r["j"] for r in rows] == [1, 2]
     assert set(rows[0]) == {"h", "j", "lambda", "error_estimate"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.floats(0.0, 0.2), eps=st.floats(0.0, 0.2))
+def test_extraction_properties(t, eps):
+    g = Grid(8.0, 511)
+    p = PotentialSpec(t=t, eps=eps)
+    T = discretize(p, 1.0, g, e_max=8.0)
+    spec = eigenvalues_below(T, 8.0)
+    assert count_below(T, 8.0) == len(spec)
+    assert np.all(np.diff(spec.eigenvalues + spec.eigenvalues_lo) > 0.0)
+    p0 = PotentialSpec(t=0.0, eps=eps)
+    s0 = eigenvalues_below(discretize(p0, 1.0, g, e_max=8.0), 8.0)
+    sm = eigenvalues_below(discretize(p0.reflected(), 1.0, g, e_max=8.0), 8.0)
+    assert len(s0) == len(sm)
+    assert float(np.max(np.abs(s0.gaps_to(sm)))) <= 1e-11
