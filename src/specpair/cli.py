@@ -19,7 +19,7 @@ import numpy as np
 
 from . import eigensolve, hadamard, pruefer, traces, weber
 from .eigensolve import Grid, discretize, eigenvalues_below, grid_pair, refine
-from .errors import PreconditionError
+from .errors import PreconditionError, check_keys
 from .potential import BumpSpec, PotentialSpec, harmonic, validate
 
 EXPERIMENTS = ("spectrum", "gap-sweep", "hadamard-check", "weber",
@@ -64,10 +64,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         merged = json.loads(json.dumps(DEFAULTS))
+        check_keys(d, DEFAULTS, "config")
         for key, val in d.items():
             if key == "potential" and isinstance(val, dict):
                 merged["potential"].update(val)
             elif key == "grid" and isinstance(val, dict):
+                check_keys(val, DEFAULTS["grid"], "grid")
                 merged["grid"].update(val)
             else:
                 merged[key] = val

@@ -19,3 +19,10 @@ class ConvergenceError(RuntimeError):
 
 class BracketError(RuntimeError):
     """A root bracket could not be established."""
+
+
+def check_keys(d: dict, allowed, where: str) -> None:
+    """Raise PreconditionError naming the first key of ``d`` not in ``allowed``."""
+    for key in d:
+        if key not in allowed:
+            raise PreconditionError(f"unknown key {key!r} in {where}")

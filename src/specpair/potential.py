@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .errors import check_keys
+
 __all__ = [
     "BumpSpec",
     "PotentialSpec",
@@ -72,6 +74,7 @@ class BumpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BumpSpec":
+        check_keys(d, ("center", "half_width", "amplitude"), "bump")
         return cls(center=float(d["center"]), half_width=float(d["half_width"]),
                    amplitude=float(d.get("amplitude", 1.0)))
 
@@ -160,6 +163,7 @@ class PotentialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
+        check_keys(d, ("t", "eps", "reflect_beta", "alpha", "beta"), "potential")
         return cls(
             t=float(d.get("t", 0.05)),
             eps=float(d.get("eps", 0.05)),

@@ -141,7 +141,11 @@ def spectral_density(p: PotentialSpec, h: float, f: TestFunction,
 
 
 def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> float:
-    """Phase-space integral of f(xi^2 + V(x)) dx dxi by adaptive quadrature."""
+    """Phase-space integral of f(xi^2 + V(x)) dx dxi by adaptive quadrature in x.
+
+    For a bump the xi integral is a Gauss-Legendre sum at two orders; their
+    difference is its error estimate, checked like the outer one.
+    """
     if f.amplitude == 0.0:
         return 0.0
     breaks = [-4.0, -3.0, -2.0, 2.0, 3.0, 4.0]
@@ -159,18 +163,26 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
         if err > abs_tol:
             raise PreconditionError(f"outer quadrature error {err:.2e} above {abs_tol:.1e}")
         return f.amplitude * xi_factor * val
-    # bump: energies below center + half_width only
-    top = f.center + f.half_width
+    # bump: energies inside (bot, top) only
+    bot, top = f.center - f.half_width, f.center + f.half_width
     x_max = math.sqrt(max(top, 0.0)) + 1e-9
+    rules = [np.polynomial.legendre.leggauss(n) for n in (128, 256)]
 
     def g(x):
         v = potential_eval(p, x)
-        w_max = math.sqrt(max(top - v, 0.0))
-        if w_max == 0.0:
+        if top - v <= 0.0:
             return 0.0
-        # xi = w substitution keeps the integrand smooth at the edge
-        inner, ierr = quad(lambda w: float(f(w * w + v)), -w_max, w_max,
-                           epsabs=abs_tol * 1e-4, epsrel=1e-12, limit=200)
+        # f(xi^2 + v) is even in xi and vanishes for |xi| < lo, so the
+        # Gauss-Legendre rule spans [lo, hi], which the bump always fills
+        lo = math.sqrt(min(max(bot - v, 0.0), top - v))
+        hi = math.sqrt(top - v)
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        coarse, inner = (2.0 * rad * float(wts @ f((mid + rad * nodes) ** 2 + v))
+                         for nodes, wts in rules)
+        ierr = abs(inner - coarse)
+        if ierr > max(abs_tol * 1e-4, 1e-12 * abs(inner)):
+            raise PreconditionError(
+                f"inner quadrature error {ierr:.2e} at x = {x:.6g} above tolerance")
         return inner
 
     pts = [b for b in breaks if -x_max < b < x_max]

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from specpair import cli
+from specpair.errors import PreconditionError
+from specpair.potential import PotentialSpec
 
 
 def run_cli(args):
@@ -93,6 +95,28 @@ def test_invalid_config_is_an_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h": -1.0}))
     assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"h_lsit": [0.5, 1.0]}, "h_lsit"),
+    ({"potential": {"espilon": 0.1}}, "espilon"),
+    ({"grid": {"intervalls": 1024}}, "intervalls"),
+    ({"potential": {"beta": {"center": 3.5, "half_width": 0.5, "amplitdue": 1.0}}},
+     "amplitdue"),
+])
+def test_unknown_config_key_is_an_error(tmp_path, bad, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    with pytest.raises(PreconditionError, match=repr(key)):
+        cli.ExperimentConfig.from_dict(bad)
+
+
+def test_config_dict_round_trip():
+    cfg = cli.ExperimentConfig.from_dict({"potential": {"t": 0.01, "reflect_beta": True}})
+    again = cli.ExperimentConfig.from_dict(json.loads(json.dumps(cfg.raw)))
+    assert again == cfg
+    assert PotentialSpec.from_dict(cfg.potential.to_dict()) == cfg.potential
 
 
 def test_failed_assertion_gives_exit_one(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from specpair.errors import PreconditionError, WindowCapError
 from specpair.potential import PotentialSpec, default_pair, harmonic
@@ -22,6 +23,7 @@ from specpair.traces import (
 
 F_EXP = TestFunction(kind="exponential", scale=1.0)
 F_BUMP = TestFunction(kind="bump", center=5.0, half_width=2.0)
+F_WIDE = TestFunction(kind="bump", center=12.0, half_width=6.0)
 
 
 def test_test_function_values():
@@ -80,12 +82,38 @@ def test_weyl_term_zero_function():
     assert weyl_term(harmonic(), zero) == 0.0
 
 
+def test_weyl_term_harmonic_bump():
+    # V = x^2 encloses phase-space area pi E, so a0 = pi * integral of f(E) dE
+    area, _ = quad(F_BUMP, 3.0, 7.0, epsabs=1e-13, epsrel=1e-13)
+    assert weyl_term(harmonic(), F_BUMP) == pytest.approx(math.pi * area, abs=1e-12)
+
+
+def test_weyl_term_bump_matches_nested_quad():
+    # values of the former nested adaptive quadrature (inner quad over xi)
+    plus, _ = default_pair()
+    assert weyl_term(plus, F_BUMP) == pytest.approx(7.560228495646896, abs=1e-12)
+    assert weyl_term(plus, F_WIDE) == pytest.approx(22.745966742486264, abs=1e-12)
+
+
+def test_weyl_term_bump_checks_both_error_estimates(monkeypatch):
+    with pytest.raises(PreconditionError, match="outer"):
+        weyl_term(harmonic(), F_BUMP, abs_tol=1e-30)
+    # two coarse rules disagree: the inner estimate must not be discarded
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: leggauss(n // 32))
+    with pytest.raises(PreconditionError, match="inner"):
+        weyl_term(harmonic(), F_BUMP)
+
+
 def test_weyl_term_pair_equality():
     plus, minus = default_pair()
-    for f in (F_EXP, F_BUMP):
+    for f in (F_EXP, F_BUMP, F_WIDE):
         ap = weyl_term(plus, f)
         am = weyl_term(minus, f)
         assert abs(ap - am) <= 2e-10
+    # energies up to 18 reach beta's support, so the check above is not vacuous
+    beta_off = PotentialSpec(t=plus.t, eps=0.0)
+    assert abs(weyl_term(plus, F_WIDE) - weyl_term(beta_off, F_WIDE)) > 1e-3
 
 
 def test_weyl_consistency_closed_form():
