@@ -48,7 +48,6 @@ def tridiag_residual(diag, off, u, lam_hi, lam_lo=0.0,
     """
     diag = np.asarray(diag, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = u.size
 
     # shifted diagonal term (diag - lam) * u, keeping the subtraction exact
     d_hi, d_lo = two_sum(diag, -lam_hi)
@@ -63,24 +62,16 @@ def tridiag_residual(diag, off, u, lam_hi, lam_lo=0.0,
         p_hi = t_hi
         p_lo = p_lo + t_e + sb_e + extra_scale * b_lo
 
-    # neighbor terms off * u[i-1] and off * u[i+1]
-    lo_hi = np.zeros(n)
-    lo_lo = np.zeros(n)
-    q_hi, q_lo = two_prod(off, u[:-1])
-    lo_hi[1:] = q_hi
-    lo_lo[1:] = q_lo
-    hi_hi = np.zeros(n)
-    hi_lo = np.zeros(n)
-    q_hi, q_lo = two_prod(off, u[1:])
-    hi_hi[:-1] = q_hi
-    hi_lo[:-1] = q_lo
-
-    # accumulate the three addends with error-free sums
-    s_hi, s_e = two_sum(p_hi, lo_hi)
-    s_lo = p_lo + lo_lo + s_e
-    r_hi, r_e = two_sum(s_hi, hi_hi)
-    r_lo = s_lo + hi_lo + r_e
-    return r_hi, r_lo
+    # neighbor terms off * u[i-1] and off * u[i+1] from one exact product,
+    # accumulated with error-free sums
+    q_hi, q_lo = two_prod(off, u)
+    s_hi, s_e = two_sum(p_hi[1:], q_hi[:-1])
+    p_hi[1:] = s_hi
+    p_lo[1:] = p_lo[1:] + q_lo[:-1] + s_e
+    s_hi, s_e = two_sum(p_hi[:-1], q_hi[1:])
+    p_hi[:-1] = s_hi
+    p_lo[:-1] = p_lo[:-1] + q_lo[1:] + s_e
+    return p_hi, p_lo
 
 
 def rayleigh_correction(diag, off, u, lam_hi, lam_lo=0.0,

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import _dd
 from .errors import ConvergenceError, GridMarginError, PreconditionError, WindowCapError
@@ -175,24 +176,38 @@ def _start_vector(n: int) -> np.ndarray:
 
 def _inverse_iteration(T: TridiagonalOperator, lam: float,
                        shift_offset: float = 1e-12, max_iter: int = 8) -> np.ndarray:
-    """Unit-norm eigenvector for the eigenvalue nearest ``lam``."""
-    n = T.n
-    ab = np.empty((3, n))
-    ab[0, 0] = 0.0
-    ab[0, 1:] = T.off_value
-    ab[1, :] = T.diag - (lam + shift_offset)
-    ab[2, :-1] = T.off_value
-    ab[2, -1] = 0.0
-    v = _start_vector(n)
-    prev = None
+    """Unit-norm eigenvector for the eigenvalue nearest ``lam``.
+
+    T - sigma (sigma = lam + shift_offset) is LU-factored once (LAPACK
+    ``dgttrf``) and each step is one ``dgttrs`` solve w = (T - sigma)^-1 v.
+    With ||v|| = 1 and x = w/||w||, min(||x - v||, ||x + v||)/||w|| bounds
+    the residual ||(T - rho(x)) x|| (Parlett, ch. 4).  Once that bound
+    reaches 8 eps ||T||_1 one more solve confirms the vector, as LAPACK
+    ``dstein`` does; ``max_iter`` steps without it raise ConvergenceError.
+    """
+    sigma = lam + shift_offset
+    dl, d, du, du2, ipiv, info = dgttrf(T.offdiag, T.diag - sigma, T.offdiag)
+    if info != 0:
+        raise ConvergenceError(f"dgttrf of T - {sigma:.17g} failed with info = {info}")
+
+    def solve(v):
+        w, info = dgttrs(dl, d, du, du2, ipiv, v)
+        if info != 0:
+            raise ConvergenceError(f"dgttrs failed with info = {info}")
+        growth = np.linalg.norm(w)
+        return w / growth, growth
+
+    floor = 8.0 * _EPS * T.norm1()
+    v = _start_vector(T.n)
     for _ in range(max_iter):
-        w = solve_banded((1, 1), ab, v, check_finite=False)
-        w = w / np.linalg.norm(w)
-        if prev is not None and min(np.linalg.norm(w - prev), np.linalg.norm(w + prev)) < 1e-13:
-            return w
-        prev = w
-        v = w
-    return v
+        x, growth = solve(v)
+        bound = min(np.linalg.norm(x - v), np.linalg.norm(x + v)) / growth
+        if bound <= floor:
+            return solve(x)[0]
+        v = x
+    raise ConvergenceError(
+        f"inverse iteration at {sigma:.17g}: residual bound {bound:.3e} above "
+        f"{floor:.3e} after {max_iter} steps")
 
 
 def _polish_one(T: TridiagonalOperator, lam: float):
@@ -295,8 +310,16 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
         if lam.size > cap:
             raise WindowCapError(f"{lam.size} eigenvalues below E = {E}; cap is {cap}")
         lam_lo = np.zeros(lam.size)
+        # the level lies within t/2 of its bracket midpoint; a polish that
+        # moves further has found another level
+        slack = t + 8.0 * _EPS * op.norm1()
         for k in range(lam.size):
-            lam[k], lam_lo[k], _ = _polish_one(op, lam[k])
+            mid = lam[k]
+            lam[k], lam_lo[k], _ = _polish_one(op, mid)
+            if abs((lam[k] - mid) + lam_lo[k]) > slack:
+                raise ConvergenceError(
+                    f"polish moved level {k + 1} from its bracket midpoint {mid:.17g} "
+                    f"by {(lam[k] - mid) + lam_lo[k]:.3e}, beyond {slack:.3e}")
         if np.any(np.diff(lam + lam_lo) <= 0.0):
             raise ConvergenceError("polish produced a non-increasing eigenvalue list")
         # the bracket bounds where each level lies; the polished value is an

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specpair import eigensolve
 from specpair.cli import charpoly_roots
-from specpair.errors import GridMarginError, PreconditionError, WindowCapError
+from specpair.errors import (ConvergenceError, GridMarginError, PreconditionError,
+                             WindowCapError)
 from specpair.potential import PotentialSpec, default_pair, harmonic
 from specpair.eigensolve import (
     Grid,
@@ -110,6 +112,45 @@ def test_window_cap():
     T = discretize(harmonic(), 0.1, g)
     with pytest.raises(WindowCapError):
         eigenvalues_below(T, 5.0, cap=3)
+
+
+def test_polish_outside_bracket_is_an_error(monkeypatch):
+    T = discretize(harmonic(), 1.0, Grid(8.0, 511))
+    inverse_iteration = eigensolve._inverse_iteration
+    # every level polished with the vector of the level above (spacing 2h)
+    monkeypatch.setattr(eigensolve, "_inverse_iteration",
+                        lambda T, lam: inverse_iteration(T, lam + 2.0))
+    with pytest.raises(ConvergenceError, match="bracket"):
+        eigenvalues_below(T, 6.0)
+
+
+def test_inverse_iteration_midway_does_not_converge():
+    T = discretize(harmonic(), 1.0, Grid(8.0, 511))
+    lam = eigenvalues_below(T, 4.0).eigenvalues
+    # equidistant from two levels the iterates alternate between them
+    with pytest.raises(ConvergenceError, match="residual bound"):
+        eigensolve._inverse_iteration(T, 0.5 * (lam[0] + lam[1]))
+
+
+def test_polish_factors_once_per_level(monkeypatch):
+    calls = {"dgttrf": 0, "dgttrs": 0}
+
+    def counted(name):
+        fn = getattr(eigensolve, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(eigensolve, name, counted(name))
+    T = discretize(harmonic(), 0.5, Grid(8.0, 4095))
+    E = 8.0
+    spec = eigenvalues_below(T, E, tol=1e-9 * E)
+    assert len(spec) == 8
+    assert calls["dgttrf"] == len(spec)
+    assert calls["dgttrs"] <= 3 * len(spec)
 
 
 def test_refine_harmonic_accuracy():
