@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ DEFAULTS: dict = {
         "alpha": {"center": -2.5, "half_width": 0.5, "amplitude": 1.0},
         "beta": {"center": 3.5, "half_width": 0.5, "amplitude": 1.0},
     },
-    "grid": {"L": 8.0, "intervals": 4096, "tol": None},
+    "grid": {"L": 8.0, "intervals": 4096},
     "h": 1.0,
     "h_list": [float(x) for x in np.geomspace(0.25, 1.0, 12)],
     "E_window": 10.0,
@@ -45,12 +46,32 @@ DEFAULTS: dict = {
 }
 
 
+def _positive(v, key: str) -> float:
+    """``v`` as a float; anything but a finite number > 0 raises naming ``key``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+            or not math.isfinite(v) or not v > 0:
+        raise PreconditionError(f"{key} must be a finite number > 0, got {v!r}")
+    return float(v)
+
+
+def _count(v, key: str) -> int:
+    """``v`` as an int; anything but an integer >= 1 raises naming ``key``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+        raise PreconditionError(f"{key} must be an integer >= 1, got {v!r}")
+    return int(v)
+
+
+def _positive_list(v, key: str) -> list[float]:
+    if not isinstance(v, (list, tuple)) or not v:
+        raise PreconditionError(f"{key} must be a non-empty list, got {v!r}")
+    return [_positive(x, key) for x in v]
+
+
 @dataclass
 class ExperimentConfig:
     potential: PotentialSpec
     grid_L: float
     grid_intervals: int
-    tol: float | None
     h: float
     h_list: list[float]
     E_window: float
@@ -75,22 +96,24 @@ class ExperimentConfig:
                 merged[key] = val
         pot = PotentialSpec.from_dict(merged["potential"])
         g = merged["grid"]
-        intervals = int(g["intervals"])
+        intervals = _count(g["intervals"], "grid.intervals")
         if intervals % 2 != 0:
             raise PreconditionError("grid.intervals must be even")
-        hs = [float(x) for x in merged["h_list"]]
-        if any(h <= 0 for h in hs) or merged["h"] <= 0:
-            raise PreconditionError("h values must be positive")
+        h = _positive(merged["h"], "h")
+        E_window = _positive(merged["E_window"], "E_window")
+        if not E_window > h:
+            # V >= x^2 puts the ground level above h
+            raise PreconditionError(f"E_window = {E_window} holds no level at h = {h}")
         gw = merged["gap_window"]
         if gw != "ground":
-            gw = float(gw)
-        return cls(potential=pot, grid_L=float(g["L"]), grid_intervals=intervals,
-                   tol=g["tol"] if g["tol"] is None else float(g["tol"]),
-                   h=float(merged["h"]), h_list=hs,
-                   E_window=float(merged["E_window"]), gap_window=gw,
-                   eps_fd=float(merged["eps_fd"]),
-                   shoot_h_list=[float(x) for x in merged["shoot_h_list"]],
-                   shoot_j_max=int(merged["shoot_j_max"]),
+            gw = _positive(gw, "gap_window")
+        return cls(potential=pot, grid_L=_positive(g["L"], "grid.L"),
+                   grid_intervals=intervals, h=h,
+                   h_list=_positive_list(merged["h_list"], "h_list"),
+                   E_window=E_window, gap_window=gw,
+                   eps_fd=_positive(merged["eps_fd"], "eps_fd"),
+                   shoot_h_list=_positive_list(merged["shoot_h_list"], "shoot_h_list"),
+                   shoot_j_max=_count(merged["shoot_j_max"], "shoot_j_max"),
                    out_dir=str(merged["out_dir"]), raw=merged)
 
     def grids(self) -> tuple[Grid, Grid]:
@@ -207,7 +230,10 @@ def write_report(report: Report, out_dir: str | Path) -> Path:
 
 def _exp_spectrum(cfg: ExperimentConfig, rep: Report):
     gf, gc = cfg.grids()
-    spec = refine(cfg.potential, cfg.h, cfg.E_window, gf, gc, tol=cfg.tol)
+    spec = refine(cfg.potential, cfg.h, cfg.E_window, gf, gc)
+    if len(spec) == 0:
+        raise PreconditionError(
+            f"E_window = {cfg.E_window} holds no level at h = {cfg.h}")
     rep.tables["eigenvalues"] = list(spec.to_csv_rows())
     lam = spec.eigenvalues + spec.eigenvalues_lo
     gaps = np.diff(lam)
@@ -463,7 +489,7 @@ def _exp_validate(cfg: ExperimentConfig, rep: Report):
     # tiny-instance oracle: extraction against characteristic-polynomial roots
     gt = Grid(3.0, 7)
     T = discretize(harmonic(), 1.0, gt)
-    spec = eigenvalues_below(T, 1e6, tol=1e-13, cap=1024, check_margin=False)
+    spec = eigenvalues_below(T, 1e6, check_margin=False)
     roots = charpoly_roots(T.diag, T.off_value ** 2)
     dev = float(np.max(np.abs(roots - (spec.eigenvalues + spec.eigenvalues_lo))))
     rep.check("eigensolve.charpoly_oracle", dev <= 1e-12, 1e-12 - dev,

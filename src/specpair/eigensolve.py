@@ -45,6 +45,8 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
 
+LEVEL_CAP = 512    # most levels one window may hold
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -240,8 +242,6 @@ class Spectrum:
     eigenvalues_lo: np.ndarray
     error_estimate: np.ndarray
     grid: Grid
-    E_window: float
-    refined: bool = False
 
     def __len__(self) -> int:
         return self.eigenvalues.size
@@ -266,29 +266,18 @@ class Spectrum:
                 "error_estimate": float(self.error_estimate[j]),
             }
 
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "E_window": self.E_window,
-            "grid": {"L": self.grid.L, "n": self.grid.n},
-            "refined": self.refined,
-            "eigenvalues": [float(v + w) for v, w in
-                            zip(self.eigenvalues, self.eigenvalues_lo)],
-            "error_estimate": [float(e) for e in self.error_estimate],
-        }
-
 
 def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
-                            tol: float | None = None, cap: int = 512,
                             check_margin: bool = True) -> list[Spectrum]:
     """The polished eigenvalues of each operator in its window (vl, E].
 
     vl lies below the operator's Gershgorin bound, so the window holds every
-    eigenvalue up to E.  LAPACK ``dstebz`` brackets each one to width tol
-    (default 1e-13 * max(1, E)) and the midpoint is then polished.  More
-    than ``cap`` levels in a window raise ``WindowCapError``.
-    ``check_margin=False`` skips the turning-point margin guard (useful when
-    the matrix itself, not the continuum problem, is the object of study).
+    eigenvalue up to E.  LAPACK ``dstebz`` brackets each one to width
+    1e-9 * max(1, E), enough for the polish to start nearer its level than
+    any other, and the midpoint is then polished.  More than ``LEVEL_CAP``
+    levels in a window raise ``WindowCapError``.  ``check_margin=False``
+    skips the turning-point margin guard (useful when the matrix itself,
+    not the continuum problem, is the object of study).
     """
     Es = [float(e) for e in E_list]
     if len(Es) != len(ops):
@@ -299,7 +288,7 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
             raise GridMarginError(
                 f"V at the boundary is {op.v_boundary:.3f} < E + 10 = {E + 10.0:.3f}; "
                 f"increase L")
-        t = float(tol) if tol is not None else 1e-13 * max(1.0, E)
+        t = 1e-9 * max(1.0, E)
         gershgorin = float(np.min(op.diag)) - 2.0 * abs(op.off_value)
         # the margin covers rounding in the bound; dstebz clips the search
         # interval to its own Gershgorin bound, so it costs no extra steps
@@ -307,8 +296,8 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
         lam = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
                                    select_range=(vl, E), check_finite=False,
                                    tol=t, lapack_driver="stebz")
-        if lam.size > cap:
-            raise WindowCapError(f"{lam.size} eigenvalues below E = {E}; cap is {cap}")
+        if lam.size > LEVEL_CAP:
+            raise WindowCapError(f"{lam.size} levels below E = {E}; cap is {LEVEL_CAP}")
         lam_lo = np.zeros(lam.size)
         # the level lies within t/2 of its bracket midpoint; a polish that
         # moves further has found another level
@@ -326,15 +315,14 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
         # eigenvalue of the stored matrix to a few ulps
         est = 0.5 * t + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
         results.append(Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
-                                error_estimate=est, grid=op.grid, E_window=E))
+                                error_estimate=est, grid=op.grid))
     return results
 
 
-def eigenvalues_below(T: TridiagonalOperator, E: float, tol: float | None = None,
-                      cap: int = 512, check_margin: bool = True) -> Spectrum:
+def eigenvalues_below(T: TridiagonalOperator, E: float,
+                      check_margin: bool = True) -> Spectrum:
     """The polished eigenvalues of T in (vl, E]; see ``eigenvalues_below_multi``."""
-    return eigenvalues_below_multi([T], [E], tol=tol, cap=cap,
-                                   check_margin=check_margin)[0]
+    return eigenvalues_below_multi([T], [E], check_margin=check_margin)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,38 +350,35 @@ def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
     diff = (f_hi - c_hi) + (f_lo - c_lo)
     est = np.abs(diff) / 3.0
     return Spectrum(h=fine.h, eigenvalues=r_hi, eigenvalues_lo=r_lo,
-                    error_estimate=est, grid=fine.grid, E_window=fine.E_window,
-                    refined=True)
+                    error_estimate=est, grid=fine.grid)
 
 
 def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
-                 grid_fine: Grid, grid_coarse: Grid,
-                 tol: float | None = None, cap: int = 512) -> list[Spectrum]:
+                 grid_fine: Grid, grid_coarse: Grid) -> list[Spectrum]:
     """Richardson-refined spectra for several (potential, h, E) requests on one grid pair."""
     _check_grid_pair(grid_fine, grid_coarse)
     ops_f = [discretize(p, h, grid_fine, e_max=E) for (p, h, E) in entries]
     ops_c = [discretize(p, h, grid_coarse, e_max=E) for (p, h, E) in entries]
     Es = [E for (_, _, E) in entries]
-    spec_f = eigenvalues_below_multi(ops_f, Es, tol=tol, cap=cap)
-    spec_c = eigenvalues_below_multi(ops_c, Es, tol=tol, cap=cap)
+    spec_f = eigenvalues_below_multi(ops_f, Es)
+    spec_c = eigenvalues_below_multi(ops_c, Es)
     return [_richardson_combine(f, c) for f, c in zip(spec_f, spec_c)]
 
 
 def refine(p: PotentialSpec, h: float, E: float, grid_fine: Grid,
-           grid_coarse: Grid, tol: float | None = None, cap: int = 512) -> Spectrum:
+           grid_coarse: Grid) -> Spectrum:
     """Richardson-extrapolated eigenvalues (4 fine - coarse)/3 below E.
 
     The returned error_estimate per eigenvalue is |fine - coarse| / 3.
     """
-    return refine_multi([(p, h, E)], grid_fine, grid_coarse, tol=tol, cap=cap)[0]
+    return refine_multi([(p, h, E)], grid_fine, grid_coarse)[0]
 
 
 # ---------------------------------------------------------------------------
 # Eigenvectors
 # ---------------------------------------------------------------------------
 
-def eigenvector(T: TridiagonalOperator, lam: float,
-                residual_tol: float | None = None) -> np.ndarray:
+def eigenvector(T: TridiagonalOperator, lam: float) -> np.ndarray:
     """Discrete-L2-normalized eigenvector for the eigenvalue nearest ``lam``.
 
     Normalization is dx * sum(u_i^2) = 1 and the sign makes the largest
@@ -404,8 +389,7 @@ def eigenvector(T: TridiagonalOperator, lam: float,
     """
     hi, lo, v = _polish_one(T, lam)
     res = _dd.residual_norm(T.diag, T.off_value, v, hi, lo)
-    floor = residual_tol if residual_tol is not None \
-        else max(1e-10, 8.0 * _EPS * T.norm1())
+    floor = max(1e-10, 8.0 * _EPS * T.norm1())
     if res > floor:
         raise ConvergenceError(
             f"inverse iteration residual {res:.3e} above tolerance {floor:.3e}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _dd
 from .eigensolve import (Grid, TridiagonalOperator, discretize,
-                         eigenvalues_below, _inverse_iteration)
+                         eigenvalues_below, eigenvector, _inverse_iteration)
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
@@ -40,13 +40,11 @@ def _window_for_level(p: PotentialSpec, h: float, j: int) -> float:
 
 def _level_and_vector(T: TridiagonalOperator, p: PotentialSpec, h: float, j: int):
     E = _window_for_level(p, h, j)
-    spec = eigenvalues_below(T, E, tol=1e-9 * max(1.0, E))
+    spec = eigenvalues_below(T, E)
     if len(spec) < j:
         raise PreconditionError(f"window E = {E} holds only {len(spec)} levels, need {j}")
     lam = float(spec.eigenvalues[j - 1])
-    u = _inverse_iteration(T, lam)
-    u = u / np.sqrt(T.grid.dx * np.dot(u, u))
-    return spec, lam, u
+    return spec, lam, eigenvector(T, lam)
 
 
 def variational_derivative(p: PotentialSpec, h: float, j: int, beta: BumpSpec,

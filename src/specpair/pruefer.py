@@ -102,9 +102,6 @@ class PrueferTrace:
     start: tuple[float, float]
     q: CoefficientQ
 
-    def theta_end(self) -> float:
-        return float(self.thetas[-1])
-
     def node_count(self) -> int:
         """Upward crossings of multiples of pi (sign changes of the solution)."""
         k0 = math.floor(self.start[1] / math.pi)
@@ -306,21 +303,14 @@ def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,
     def g(lam: float) -> float:
         return _theta_at_right_end(p, h, lam, L, eps_per_length) - target
 
+    # V >= x^2 puts lambda_j above (2j-1) h > lo, so g(lo) < 0 needs no check
     base = (2.0 * j - 1.0) * h
     lo = max(base - 1.2 * h, 1e-12)
     hi = base + 1.2 * h + (p.t + p.eps) * 1.0 + 0.1
     for _ in range(12):
-        if g(lo) < 0.0:
-            break
-        lo = max(lo * 0.5 - 0.5 * h, 1e-12)
-        if lo <= 1e-12:
-            break
-    for _ in range(12):
         if g(hi) > 0.0:
             break
         hi = hi + max(h, 1.0)
-    glo, ghi = g(lo), g(hi)
-    if not (glo < 0.0 < ghi):
-        raise BracketError(
-            f"no bracket for j = {j}: g({lo:.6g}) = {glo:.3g}, g({hi:.6g}) = {ghi:.3g}")
+    else:
+        raise BracketError(f"no bracket for j = {j} below lam = {hi:.6g}")
     return float(brentq(g, lo, hi, xtol=lam_tol, rtol=8.0 * np.finfo(float).eps))

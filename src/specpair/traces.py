@@ -38,6 +38,9 @@ __all__ = [
     "superpoly_decay_table",
 ]
 
+TAIL_TOL = 1e-14      # certified bound on the density's tail beyond its window
+WINDOW_CAP = 60.0     # highest window a density may need for that bound
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -76,8 +79,8 @@ class TestFunction:
             out[inside] = self.amplitude * np.exp(1.0 - 1.0 / w)
         return float(out) if out.ndim == 0 else out
 
-    def window_for_tail(self, h: float, tail_tol: float = 1e-14) -> float:
-        """Energy cutoff above which the remaining sum is below tail_tol.
+    def window_for_tail(self, h: float) -> float:
+        """Energy cutoff above which the remaining sum is below ``TAIL_TOL``.
 
         Uses the oscillator lower bound lambda_j >= (2j-1) h, valid for any
         potential above x^2.
@@ -88,7 +91,7 @@ class TestFunction:
             return self.center + self.half_width + 1e-9
         s = self.scale
         geom = 1.0 - math.exp(-2.0 * s * h)
-        return (math.log(self.amplitude / tail_tol) + math.log(1.0 / geom)) / s
+        return (math.log(self.amplitude / TAIL_TOL) + math.log(1.0 / geom)) / s
 
     def tail_bound(self, E: float, h: float) -> float:
         """Certified bound on the sum of f over eigenvalues >= E."""
@@ -116,18 +119,17 @@ def _auto_grid_pair(E: float) -> tuple[Grid, Grid]:
 
 
 def spectral_density_detail(p: PotentialSpec, h: float, f: TestFunction,
-                            tail_tol: float = 1e-14, window_cap: float = 60.0,
                             grids: tuple[Grid, Grid] | None = None) -> DensityResult:
     """Tr f over the spectrum: windowed sum plus certified tail bound."""
-    E = f.window_for_tail(h, tail_tol)
-    if E > window_cap:
+    E = f.window_for_tail(h)
+    if E > WINDOW_CAP:
         raise WindowCapError(
-            f"tail below {tail_tol} needs window E = {E:.1f} > cap {window_cap}")
+            f"tail below {TAIL_TOL} needs window E = {E:.1f} > cap {WINDOW_CAP}")
     if f.amplitude == 0.0:
         return DensityResult(value=0.0, tail_bound=0.0, E_window=E,
                              n_eigenvalues=0, h=h)
     gf, gc = grids if grids is not None else _auto_grid_pair(E)
-    spec = refine_multi([(p, h, E)], gf, gc, tol=1e-9 * max(1.0, E))[0]
+    spec = refine_multi([(p, h, E)], gf, gc)[0]
     lam = spec.eigenvalues + spec.eigenvalues_lo
     value = float(np.sum(f(lam)))
     return DensityResult(value=value, tail_bound=f.tail_bound(E, h), E_window=E,
@@ -135,9 +137,8 @@ def spectral_density_detail(p: PotentialSpec, h: float, f: TestFunction,
 
 
 def spectral_density(p: PotentialSpec, h: float, f: TestFunction,
-                     tail_tol: float = 1e-14, window_cap: float = 60.0,
                      grids: tuple[Grid, Grid] | None = None) -> float:
-    return spectral_density_detail(p, h, f, tail_tol, window_cap, grids).value
+    return spectral_density_detail(p, h, f, grids).value
 
 
 def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> float:
@@ -260,8 +261,7 @@ class GapEntry:
 
 def isospectral_distance_detail(h: float, E: float, p_plus: PotentialSpec,
                                 p_minus: PotentialSpec,
-                                grids: tuple[Grid, Grid],
-                                tol: float | None = None) -> GapEntry:
+                                grids: tuple[Grid, Grid]) -> GapEntry:
     """Max per-index eigenvalue distance below E on a shared grid pair.
 
     Index pairing is positional (both spectra are simple and ordered); a
@@ -270,10 +270,8 @@ def isospectral_distance_detail(h: float, E: float, p_plus: PotentialSpec,
     """
     gf, gc = grids
     pair = (p_plus, p_minus)
-    sf = eigenvalues_below_multi([discretize(p, h, gf, e_max=E) for p in pair],
-                                 [E, E], tol=tol)
-    sc = eigenvalues_below_multi([discretize(p, h, gc, e_max=E) for p in pair],
-                                 [E, E], tol=tol)
+    sf = eigenvalues_below_multi([discretize(p, h, gf, e_max=E) for p in pair], [E, E])
+    sc = eigenvalues_below_multi([discretize(p, h, gc, e_max=E) for p in pair], [E, E])
     g_f = sf[0].gaps_to(sf[1])
     g_c = sc[0].gaps_to(sc[1])
     m = min(g_f.size, g_c.size)
@@ -287,9 +285,8 @@ def isospectral_distance_detail(h: float, E: float, p_plus: PotentialSpec,
 
 
 def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
-                         p_minus: PotentialSpec, grids: tuple[Grid, Grid],
-                         tol: float | None = None) -> float:
-    return isospectral_distance_detail(h, E, p_plus, p_minus, grids, tol).D
+                         p_minus: PotentialSpec, grids: tuple[Grid, Grid]) -> float:
+    return isospectral_distance_detail(h, E, p_plus, p_minus, grids).D
 
 
 @dataclass
@@ -366,17 +363,18 @@ class GapCurve:
 
 def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
               window: str | float = "ground",
-              grids: tuple[Grid, Grid] | None = None,
-              tol: float | None = 1e-10) -> GapCurve:
+              grids: tuple[Grid, Grid] | None = None) -> GapCurve:
     """Spectral distance per h, noise floor, and the exponential-decay fit.
 
     window='ground' tracks exactly the ground level per h (E = 2h), which
     keeps one fixed eigenvalue branch under the sup and avoids spurious
     jumps when a new level enters a fixed window; a numeric window is used
-    verbatim for every h.  A window without a common level (or, in ground
-    mode, without exactly one) raises ``PreconditionError``.
+    verbatim for every h.  An empty h_list or a window without a common level
+    (in ground mode: without exactly one) raises ``PreconditionError``.
     """
     hs = [float(h) for h in h_list]
+    if not hs:
+        raise PreconditionError("h_list is empty")
     Es = [2.0 * h if window == "ground" else float(window) for h in hs]
     if grids is None:
         L = max(8.0, math.sqrt(max(Es)) + 4.0)
@@ -384,7 +382,7 @@ def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
 
     entries = []
     for h, E in zip(hs, Es):
-        e = isospectral_distance_detail(h, E, p_plus, p_minus, grids, tol=tol)
+        e = isospectral_distance_detail(h, E, p_plus, p_minus, grids)
         if window == "ground" and e.n_levels != 1:
             raise PreconditionError(
                 f"ground window E = {E} at h = {h} holds {e.n_levels} levels, not 1")

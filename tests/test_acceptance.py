@@ -32,7 +32,7 @@ from specpair.traces import (
     weyl_consistency,
     weyl_term,
 )
-from specpair.weber import c_identities, check_properties, ode_ground_state, solve_weber
+from specpair.weber import c_identities, check_properties
 from specpair.eigensolve import Grid
 
 
@@ -47,15 +47,6 @@ def sweep():
     plus, minus = default_pair()
     return gap_sweep(plus, minus, np.geomspace(0.25, 1.0, 12),
                      grids=grid_pair(8.0, 4096))
-
-
-@pytest.fixture(scope="module")
-def weber_bundle():
-    base = PotentialSpec(t=0.05, eps=0.0)
-    lam1 = shoot_eigenvalue(base, 1.0, 1, 8.0, lam_tol=1e-12, eps_per_length=1e-12)
-    u1 = ode_ground_state(base, lam1)
-    w = solve_weber(lam1, -8.0, 8.0, u1)
-    return base, lam1, u1, w
 
 
 def test_criterion_01_harmonic_exactness():

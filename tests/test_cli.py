@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -103,6 +104,7 @@ def test_invalid_config_is_an_error(tmp_path):
     ({"grid": {"intervalls": 1024}}, "intervalls"),
     ({"potential": {"beta": {"center": 3.5, "half_width": 0.5, "amplitdue": 1.0}}},
      "amplitdue"),
+    ({"grid": {"tol": 1e-10}}, "tol"),
 ])
 def test_unknown_config_key_is_an_error(tmp_path, bad, key):
     cfg = tmp_path / "cfg.json"
@@ -110,6 +112,28 @@ def test_unknown_config_key_is_an_error(tmp_path, bad, key):
     assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     with pytest.raises(PreconditionError, match=repr(key)):
         cli.ExperimentConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("bad, key, experiment", [
+    ({"h_list": []}, "h_list", "gap-sweep"),
+    ({"shoot_h_list": []}, "shoot_h_list", "pruefer-compare"),
+    ({"shoot_j_max": 0}, "shoot_j_max", "pruefer-compare"),
+    ({"eps_fd": 0}, "eps_fd", "hadamard-check"),
+    ({"h": "1"}, "h", "validate"),
+    ({"E_window": 0.5}, "E_window", "spectrum"),    # below lambda_1 >= h = 1
+])
+def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experiment):
+    with pytest.raises(PreconditionError, match=rf"^{re.escape(key)}\b"):
+        cli.ExperimentConfig.from_dict(bad)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_spectrum_window_below_ground_level_is_an_error(tmp_path):
+    # h = 1 < E_window < lambda_1 = 1.0000493...: no level to report
+    with pytest.raises(PreconditionError, match="E_window"):
+        cli.run({"E_window": 1.00001}, "spectrum", out_dir=tmp_path)
 
 
 def test_config_dict_round_trip():

@@ -94,17 +94,11 @@ def test_witness_with_alpha_bump_significant():
     assert w.d_plus > 0.0 and w.d_minus > 0.0
 
 
-def test_witness_sign_agrees_with_matching_constant():
+def test_witness_sign_agrees_with_matching_constant(weber_bundle):
     # the gap equals (c^2 - 1) * integral of beta * W(-x)^2, so its sign
     # must agree with the sign of c - 1
-    from specpair.pruefer import shoot_eigenvalue
-    from specpair.weber import ode_ground_state, solve_weber
-
-    base = PotentialSpec(t=0.05, eps=0.0)
+    base, _, _, ws = weber_bundle
     w = asymmetry_witness(base, 1.0, TAIL, grid=GRID)
-    lam1 = shoot_eigenvalue(base, 1.0, 1, 8.0, lam_tol=1e-12, eps_per_length=1e-12)
-    u1 = ode_ground_state(base, lam1)
-    ws = solve_weber(lam1, -8.0, 8.0, u1)
     assert math.copysign(1.0, w.gap) == math.copysign(1.0, ws.c - 1.0)
 
 

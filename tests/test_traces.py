@@ -40,7 +40,7 @@ def test_test_function_values():
 
 def test_tail_bounds():
     # geometric-series bound from lambda_j >= (2j-1) h
-    E = F_EXP.window_for_tail(1.0, 1e-14)
+    E = F_EXP.window_for_tail(1.0)
     assert F_EXP.tail_bound(E, 1.0) <= 1e-14
     assert F_BUMP.tail_bound(7.01, 1.0) == 0.0
 
@@ -61,7 +61,7 @@ def test_density_harmonic_closed_form():
 def test_density_window_cap():
     slow = TestFunction(kind="exponential", scale=0.05)
     with pytest.raises(WindowCapError):
-        spectral_density(harmonic(), 1.0, slow, window_cap=60.0)
+        spectral_density(harmonic(), 1.0, slow)
 
 
 def test_density_nonincreasing_in_t():
@@ -198,6 +198,12 @@ def test_gap_sweep_mirror_pair_below_floor():
     assert not curve.usable_entries()
     assert curve.fit is None
     assert curve.noise_floor >= 1e-12
+
+
+def test_gap_sweep_empty_h_list_is_an_error():
+    plus, minus = default_pair()
+    with pytest.raises(PreconditionError, match="h_list"):
+        gap_sweep(plus, minus, [], grids=grid_pair(8.0, 1024))
 
 
 def test_gap_sweep_defaults_fit():

@@ -19,11 +19,10 @@ from specpair.weber import (
 BASE = PotentialSpec(t=0.05, eps=0.0)
 
 
-@pytest.fixture(scope="module")
-def bundle():
-    lam1 = shoot_eigenvalue(BASE, 1.0, 1, 8.0, lam_tol=1e-12, eps_per_length=1e-12)
-    u1 = ode_ground_state(BASE, lam1)
-    w = solve_weber(lam1, -8.0, 8.0, u1)
+@pytest.fixture
+def bundle(weber_bundle):
+    base, lam1, u1, w = weber_bundle
+    assert base == BASE
     return lam1, u1, w
 
 
