@@ -20,7 +20,7 @@ import numpy as np
 
 from . import eigensolve, hadamard, pruefer, traces, weber
 from .eigensolve import Grid, discretize, eigenvalues_below, grid_pair, refine
-from .errors import PreconditionError, check_keys
+from .errors import PreconditionError, check_keys, check_real
 from .potential import BumpSpec, PotentialSpec, harmonic, validate
 
 EXPERIMENTS = ("spectrum", "gap-sweep", "hadamard-check", "weber",
@@ -46,14 +46,6 @@ DEFAULTS: dict = {
 }
 
 
-def _positive(v, key: str) -> float:
-    """``v`` as a float; anything but a finite number > 0 raises naming ``key``."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-            or not math.isfinite(v) or not v > 0:
-        raise PreconditionError(f"{key} must be a finite number > 0, got {v!r}")
-    return float(v)
-
-
 def _count(v, key: str) -> int:
     """``v`` as an int; anything but an integer >= 1 raises naming ``key``."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
@@ -64,7 +56,7 @@ def _count(v, key: str) -> int:
 def _positive_list(v, key: str) -> list[float]:
     if not isinstance(v, (list, tuple)) or not v:
         raise PreconditionError(f"{key} must be a non-empty list, got {v!r}")
-    return [_positive(x, key) for x in v]
+    return [check_real(x, key, positive=True) for x in v]
 
 
 @dataclass
@@ -87,11 +79,9 @@ class ExperimentConfig:
         merged = json.loads(json.dumps(DEFAULTS))
         check_keys(d, DEFAULTS, "config")
         for key, val in d.items():
-            if key == "potential" and isinstance(val, dict):
-                merged["potential"].update(val)
-            elif key == "grid" and isinstance(val, dict):
-                check_keys(val, DEFAULTS["grid"], "grid")
-                merged["grid"].update(val)
+            if key in ("potential", "grid"):
+                check_keys(val, DEFAULTS[key], key)
+                merged[key].update(val)
             else:
                 merged[key] = val
         pot = PotentialSpec.from_dict(merged["potential"])
@@ -99,19 +89,19 @@ class ExperimentConfig:
         intervals = _count(g["intervals"], "grid.intervals")
         if intervals % 2 != 0:
             raise PreconditionError("grid.intervals must be even")
-        h = _positive(merged["h"], "h")
-        E_window = _positive(merged["E_window"], "E_window")
+        h = check_real(merged["h"], "h", positive=True)
+        E_window = check_real(merged["E_window"], "E_window", positive=True)
         if not E_window > h:
             # V >= x^2 puts the ground level above h
             raise PreconditionError(f"E_window = {E_window} holds no level at h = {h}")
         gw = merged["gap_window"]
         if gw != "ground":
-            gw = _positive(gw, "gap_window")
-        return cls(potential=pot, grid_L=_positive(g["L"], "grid.L"),
+            gw = check_real(gw, "gap_window", positive=True)
+        return cls(potential=pot, grid_L=check_real(g["L"], "grid.L", positive=True),
                    grid_intervals=intervals, h=h,
                    h_list=_positive_list(merged["h_list"], "h_list"),
                    E_window=E_window, gap_window=gw,
-                   eps_fd=_positive(merged["eps_fd"], "eps_fd"),
+                   eps_fd=check_real(merged["eps_fd"], "eps_fd", positive=True),
                    shoot_h_list=_positive_list(merged["shoot_h_list"], "shoot_h_list"),
                    shoot_j_max=_count(merged["shoot_j_max"], "shoot_j_max"),
                    out_dir=str(merged["out_dir"]), raw=merged)

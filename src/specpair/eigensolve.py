@@ -12,13 +12,19 @@ cross-check of the extraction.
 
 Grids are built exactly symmetric about 0 (nodes are signed multiples of
 dx), so reflecting a potential reverses the diagonal bitwise and exact
-mirror pairs stay exactly isospectral in floating point.
+mirror pairs stay exactly isospectral in floating point.  For the same
+reason a reflection-symmetric potential such as the bare oscillator gives
+an exactly persymmetric matrix, whose eigenvectors are even or odd.  Its
+levels are bracketed and inverse-iterated as two half-size blocks, about
+half the work; each vector is unfolded to full length and the polish's
+compensated Rayleigh quotient is still taken on the full matrix, so every
+value is a Rayleigh quotient of the stored T either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -212,13 +218,17 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float,
         f"{floor:.3e} after {max_iter} steps")
 
 
-def _polish_one(T: TridiagonalOperator, lam: float):
+def _polish_one(T: TridiagonalOperator, lam: float, block=None, unfold=None):
     """Inverse iteration + compensated Rayleigh quotient.
 
     Returns (hi, lo, vec): the eigenvalue as an unevaluated double-double
-    sum hi + lo, and the unit eigenvector used.
+    sum hi + lo, and the eigenvector used.  With a parity ``block`` of T the
+    iteration runs on the block and ``unfold`` maps its vector to T's
+    length; the Rayleigh quotient is always taken on T itself.
     """
-    v = _inverse_iteration(T, lam)
+    v = _inverse_iteration(T if block is None else block, lam)
+    if unfold is not None:
+        v = unfold(v)
     corr = _dd.rayleigh_correction(T.diag, T.off_value, v, lam)
     hi, lo = _dd.two_sum(lam, corr)
     return hi, lo, v
@@ -267,6 +277,37 @@ class Spectrum:
             }
 
 
+def _parity_blocks(T: TridiagonalOperator):
+    """The even and odd blocks of a mirror-symmetric T, each with its unfolding.
+
+    T is mirror-symmetric when n = 2m + 1 and its diagonal is a palindrome;
+    then every eigenvector is even or odd about the centre row m.  Even
+    vectors solve rows m..2m, whose 2*off coupling at the centre becomes
+    sqrt(2)*off once the centre entry is scaled by 1/sqrt(2); odd vectors
+    vanish at the centre and solve rows m+1..2m.  Returns None for any
+    other T.
+    """
+    n = T.n
+    if n % 2 == 0 or not np.array_equal(T.diag, T.diag[::-1]):
+        return None
+    m = n // 2
+    even_off = T.offdiag[m:].copy()
+    even_off[0] *= math.sqrt(2.0)
+
+    def unfold_even(z):
+        y = z.copy()
+        y[0] *= math.sqrt(2.0)
+        return np.concatenate((y[:0:-1], y))
+
+    def unfold_odd(z):
+        return np.concatenate((-z[::-1], [0.0], z))
+
+    # the blocks keep T's off_value, so norm1 (the residual floor's scale) is T's
+    even = replace(T, diag=T.diag[m:], offdiag=even_off)
+    odd = replace(T, diag=T.diag[m + 1:], offdiag=T.offdiag[m + 1:])
+    return (even, unfold_even), (odd, unfold_odd)
+
+
 def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
                             check_margin: bool = True) -> list[Spectrum]:
     """The polished eigenvalues of each operator in its window (vl, E].
@@ -274,7 +315,10 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
     vl lies below the operator's Gershgorin bound, so the window holds every
     eigenvalue up to E.  LAPACK ``dstebz`` brackets each one to width
     1e-9 * max(1, E), enough for the polish to start nearer its level than
-    any other, and the midpoint is then polished.  More than ``LEVEL_CAP``
+    any other, and the midpoint is then polished.  A mirror-symmetric
+    operator is bracketed and inverse-iterated as its even and odd
+    half-size blocks (``_parity_blocks``); the unfolded vector's Rayleigh
+    quotient is still taken on the full matrix.  More than ``LEVEL_CAP``
     levels in a window raise ``WindowCapError``.  ``check_margin=False``
     skips the turning-point margin guard (useful when the matrix itself,
     not the continuum problem, is the object of study).
@@ -293,22 +337,29 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
         # the margin covers rounding in the bound; dstebz clips the search
         # interval to its own Gershgorin bound, so it costs no extra steps
         vl = gershgorin - 1.0 - 8.0 * _EPS * op.norm1()
-        lam = eigvalsh_tridiagonal(op.diag, op.offdiag, select="v",
-                                   select_range=(vl, E), check_finite=False,
-                                   tol=t, lapack_driver="stebz")
-        if lam.size > LEVEL_CAP:
-            raise WindowCapError(f"{lam.size} levels below E = {E}; cap is {LEVEL_CAP}")
-        lam_lo = np.zeros(lam.size)
+        parts = _parity_blocks(op) or ((op, None),)
+        mids = [eigvalsh_tridiagonal(B.diag, B.offdiag, select="v",
+                                     select_range=(vl, E), check_finite=False,
+                                     tol=t, lapack_driver="stebz")
+                for B, _ in parts]
+        n_levels = sum(m.size for m in mids)
+        if n_levels > LEVEL_CAP:
+            raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
         # the level lies within t/2 of its bracket midpoint; a polish that
         # moves further has found another level
         slack = t + 8.0 * _EPS * op.norm1()
-        for k in range(lam.size):
-            mid = lam[k]
-            lam[k], lam_lo[k], _ = _polish_one(op, mid)
-            if abs((lam[k] - mid) + lam_lo[k]) > slack:
-                raise ConvergenceError(
-                    f"polish moved level {k + 1} from its bracket midpoint {mid:.17g} "
-                    f"by {(lam[k] - mid) + lam_lo[k]:.3e}, beyond {slack:.3e}")
+        lam, lam_lo = np.empty(n_levels), np.empty(n_levels)
+        k = 0
+        for (B, unfold), block_mids in zip(parts, mids):
+            for mid in block_mids:
+                lam[k], lam_lo[k], _ = _polish_one(op, mid, B, unfold)
+                if abs((lam[k] - mid) + lam_lo[k]) > slack:
+                    raise ConvergenceError(
+                        f"polish moved a level from its bracket midpoint {mid:.17g} "
+                        f"by {(lam[k] - mid) + lam_lo[k]:.3e}, beyond {slack:.3e}")
+                k += 1
+        order = np.lexsort((lam_lo, lam))
+        lam, lam_lo = lam[order], lam_lo[order]
         if np.any(np.diff(lam + lam_lo) <= 0.0):
             raise ConvergenceError("polish produced a non-increasing eigenvalue list")
         # the bracket bounds where each level lies; the polished value is an

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and config value checks."""
+
+import math
+import numbers
 
 
 class PreconditionError(ValueError):
@@ -23,6 +26,20 @@ class BracketError(RuntimeError):
 
 def check_keys(d: dict, allowed, where: str) -> None:
     """Raise PreconditionError naming the first key of ``d`` not in ``allowed``."""
+    if not isinstance(d, dict):
+        raise PreconditionError(f"{where} must be an object, got {d!r}")
     for key in d:
         if key not in allowed:
             raise PreconditionError(f"unknown key {key!r} in {where}")
+
+
+def check_real(v, key: str, positive: bool = False) -> float:
+    """``v`` as a float; anything but a finite number (> 0 if ``positive``) raises naming ``key``.
+
+    bool and str are not numbers here.
+    """
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) \
+            or (positive and not v > 0):
+        raise PreconditionError(
+            f"{key} must be a finite number{' > 0' if positive else ''}, got {v!r}")
+    return float(v)

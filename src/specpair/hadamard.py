@@ -38,24 +38,32 @@ def _window_for_level(p: PotentialSpec, h: float, j: int) -> float:
     return (2.0 * j + 1.0) * h + 0.5 + p.t + p.eps
 
 
-def _level_and_vector(T: TridiagonalOperator, p: PotentialSpec, h: float, j: int):
+def _solve_level(p: PotentialSpec, h: float, j: int, grid: Grid):
+    """Level j of p on ``grid``: (T, spectrum of its window, lambda_j, u_j)."""
+    T = discretize(p, h, grid)
     E = _window_for_level(p, h, j)
     spec = eigenvalues_below(T, E)
     if len(spec) < j:
         raise PreconditionError(f"window E = {E} holds only {len(spec)} levels, need {j}")
     lam = float(spec.eigenvalues[j - 1])
-    return spec, lam, eigenvector(T, lam)
+    return T, spec, lam, eigenvector(T, lam)
+
+
+def _bump_on_grid(beta: BumpSpec, grid: Grid, reflected: bool) -> np.ndarray:
+    x = grid.nodes()
+    return bump_eval(beta, -x if reflected else x)
 
 
 def variational_derivative(p: PotentialSpec, h: float, j: int, beta: BumpSpec,
                            reflected: bool = False,
-                           grid: Grid = _DEFAULT_GRID) -> float:
-    """dx * sum beta(+-x_i) u_j(x_i)^2 with the solver's normalization."""
-    T = discretize(p, h, grid)
-    _, _, u = _level_and_vector(T, p, h, j)
-    x = grid.nodes()
-    b = bump_eval(beta, -x if reflected else x)
-    return float(grid.dx * np.dot(b, u * u))
+                           grid: Grid = _DEFAULT_GRID, level=None) -> float:
+    """dx * sum beta(+-x_i) u_j(x_i)^2 with the solver's normalization.
+
+    ``level`` is the ``_solve_level(p, h, j, grid)`` result when the caller
+    already has it.
+    """
+    _, _, _, u = level or _solve_level(p, h, j, grid)
+    return float(grid.dx * np.dot(_bump_on_grid(beta, grid, reflected), u * u))
 
 
 def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
@@ -84,15 +92,16 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
 
 def fd_oracle(p: PotentialSpec, h: float, j: int, beta: BumpSpec,
               reflected: bool = False, eps_fd: float = 1e-5,
-              grid: Grid = _DEFAULT_GRID) -> float:
-    """(lam_j(+eps_fd) - lam_j(-eps_fd)) / (2 eps_fd) on one shared grid."""
-    T = discretize(p, h, grid)
-    spec, lam, _ = _level_and_vector(T, p, h, j)
+              grid: Grid = _DEFAULT_GRID, level=None) -> float:
+    """(lam_j(+eps_fd) - lam_j(-eps_fd)) / (2 eps_fd) on one shared grid.
+
+    ``level`` is as in ``variational_derivative``.
+    """
+    T, spec, lam, _ = level or _solve_level(p, h, j, grid)
     lams = spec.eigenvalues
     gap_lo = lams[j - 1] - lams[j - 2] if j >= 2 else np.inf
     gap_hi = lams[j] - lams[j - 1] if j < len(spec) else np.inf
-    x = grid.nodes()
-    bvals = bump_eval(beta, -x if reflected else x)
+    bvals = _bump_on_grid(beta, grid, reflected)
     # ordering must not change across the +-eps_fd window
     shift_bound = eps_fd * float(np.max(np.abs(bvals)))
     if shift_bound > 0.4 * min(gap_lo, gap_hi):
@@ -120,9 +129,10 @@ class VariationResult:
 def variation_check(p: PotentialSpec, h: float, j: int, beta: BumpSpec,
                     reflected: bool = False, eps_fd: float = 1e-5,
                     grid: Grid = _DEFAULT_GRID) -> VariationResult:
-    """Formula and oracle side by side."""
-    formula = variational_derivative(p, h, j, beta, reflected, grid)
-    oracle = fd_oracle(p, h, j, beta, reflected, eps_fd, grid)
+    """Formula and oracle side by side, from one solve of level j."""
+    level = _solve_level(p, h, j, grid)
+    formula = variational_derivative(p, h, j, beta, reflected, grid, level=level)
+    oracle = fd_oracle(p, h, j, beta, reflected, eps_fd, grid, level=level)
     return VariationResult(j=j, formula_value=formula, oracle_value=oracle,
                            eps_fd=eps_fd, discrepancy=abs(formula - oracle))
 
@@ -134,8 +144,7 @@ def constant_direction_sanity(p: PotentialSpec, h: float, j: int,
     Must equal 1 for a normalized eigenfunction: shifting V by a constant
     shifts every eigenvalue by exactly that constant.
     """
-    T = discretize(p, h, grid)
-    _, _, u = _level_and_vector(T, p, h, j)
+    _, _, _, u = _solve_level(p, h, j, grid)
     return float(grid.dx * np.dot(u, u))
 
 
@@ -165,8 +174,7 @@ def asymmetry_witness(p_base: PotentialSpec, h: float, beta: BumpSpec,
         raise PreconditionError("base potential must have eps = 0")
 
     def one(g: Grid):
-        T = discretize(p_base, h, g)
-        _, _, u = _level_and_vector(T, p_base, h, 1)
+        _, _, _, u = _solve_level(p_base, h, 1, g)
         x = g.nodes()
         b = bump_eval(beta, x)
         u2 = u * u

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import check_keys
+from .errors import PreconditionError, check_keys, check_real
 
 __all__ = [
     "BumpSpec",
@@ -73,10 +73,13 @@ class BumpSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BumpSpec":
-        check_keys(d, ("center", "half_width", "amplitude"), "bump")
-        return cls(center=float(d["center"]), half_width=float(d["half_width"]),
-                   amplitude=float(d.get("amplitude", 1.0)))
+    def from_dict(cls, d: dict, where: str = "bump") -> "BumpSpec":
+        """A bump from its config object; ``where`` prefixes the key in errors."""
+        check_keys(d, ("center", "half_width", "amplitude"), where)
+        return cls(center=check_real(d.get("center"), f"{where}.center"),
+                   half_width=check_real(d.get("half_width"), f"{where}.half_width",
+                                         positive=True),
+                   amplitude=check_real(d.get("amplitude", 1.0), f"{where}.amplitude"))
 
 
 def _mollifier(u):
@@ -164,12 +167,18 @@ class PotentialSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
         check_keys(d, ("t", "eps", "reflect_beta", "alpha", "beta"), "potential")
+        reflect = d.get("reflect_beta", False)
+        if not isinstance(reflect, bool):
+            raise PreconditionError(
+                f"potential.reflect_beta must be true or false, got {reflect!r}")
         return cls(
-            t=float(d.get("t", 0.05)),
-            eps=float(d.get("eps", 0.05)),
-            reflect_beta=bool(d.get("reflect_beta", False)),
-            alpha=BumpSpec.from_dict(d["alpha"]) if "alpha" in d else _default_alpha(),
-            beta=BumpSpec.from_dict(d["beta"]) if "beta" in d else _default_beta(),
+            t=check_real(d.get("t", 0.05), "potential.t"),
+            eps=check_real(d.get("eps", 0.05), "potential.eps"),
+            reflect_beta=reflect,
+            alpha=BumpSpec.from_dict(d["alpha"], "potential.alpha") if "alpha" in d
+            else _default_alpha(),
+            beta=BumpSpec.from_dict(d["beta"], "potential.beta") if "beta" in d
+            else _default_beta(),
         )
 
     @classmethod

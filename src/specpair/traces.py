@@ -201,7 +201,6 @@ class WeylFit:
     a2_fit: float
     a0_quadrature: float
     max_fit_residual: float
-    contaminated: bool
     h_list: list[float]
     nu_values: list[float]
 
@@ -210,8 +209,7 @@ class WeylFit:
             yield {"h": h, "nu": nu, "two_pi_h_nu": 2.0 * math.pi * h * nu}
 
 
-def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list,
-                     nu_values=None, residual_tol: float = 1e-4,
+def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None,
                      grids: tuple[Grid, Grid] | None = None) -> WeylFit:
     """Fit (2 pi h) nu_h(f) = a0 + a1 h^2 + a2 h^4 over the h sample.
 
@@ -236,7 +234,6 @@ def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list,
     return WeylFit(a0_fit=float(coef[0]), a1_fit=float(coef[1]),
                    a2_fit=float(coef[2]), a0_quadrature=a0q,
                    max_fit_residual=resid,
-                   contaminated=bool(resid > residual_tol),
                    h_list=hs, nu_values=nus)
 
 
@@ -295,7 +292,6 @@ class GapFit:
     c: float
     r_squared: float
     power_r_squared: float     # competing pure-power-law model
-    curvature: float           # max |residual| / spread of log D
     n_points: int
 
     @property
@@ -327,8 +323,7 @@ def fit_gap_decay(entries) -> GapFit:
 
     A = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
+    ss_res = float(np.sum((y - A @ coef) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
@@ -338,12 +333,9 @@ def fit_gap_decay(entries) -> GapFit:
     ss_res_p = float(np.sum((y - Ap @ coefp) ** 2))
     r2p = 1.0 - ss_res_p / ss_tot if ss_tot > 0 else 1.0
 
-    spread = float(np.max(y) - np.min(y))
-    curvature = float(np.max(np.abs(y - pred))) / spread if spread > 0 else 0.0
-
     return GapFit(C=float(math.exp(coef[0])), c=float(-coef[1]),
                   r_squared=float(r2), power_r_squared=float(r2p),
-                  curvature=curvature, n_points=len(hs))
+                  n_points=len(hs))
 
 
 @dataclass

@@ -130,6 +130,26 @@ def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experimen
     assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("bad, key", [
+    ({"reflect_beta": "no"}, "potential.reflect_beta"),
+    ({"reflect_beta": 0}, "potential.reflect_beta"),
+    ({"t": "0.01"}, "potential.t"),
+    ({"eps": True}, "potential.eps"),
+    ({"t": float("inf")}, "potential.t"),
+    ({"beta": {"center": "3.5", "half_width": 0.5}}, "potential.beta.center"),
+    ({"alpha": {"center": -2.5, "half_width": 0.0}}, "potential.alpha.half_width"),
+    ({"beta": {"center": 3.5, "half_width": 0.5, "amplitude": None}},
+     "potential.beta.amplitude"),
+    ({"alpha": {"center": float("nan"), "half_width": 0.5}}, "potential.alpha.center"),
+])
+def test_invalid_potential_value_is_an_error(tmp_path, bad, key):
+    with pytest.raises(PreconditionError, match=rf"^{re.escape(key)}\b"):
+        cli.ExperimentConfig.from_dict({"potential": bad})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": bad}))
+    assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 def test_spectrum_window_below_ground_level_is_an_error(tmp_path):
     # h = 1 < E_window < lambda_1 = 1.0000493...: no level to report
     with pytest.raises(PreconditionError, match="E_window"):

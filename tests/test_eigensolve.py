@@ -19,6 +19,8 @@ from specpair.eigensolve import (
     refine,
 )
 
+EPS = np.finfo(float).eps
+
 
 def test_grid_nodes_exactly_symmetric():
     g = Grid(8.0, 4095)
@@ -115,11 +117,24 @@ def test_window_cap():
 
 
 def test_polish_outside_bracket_is_an_error(monkeypatch):
-    T = discretize(harmonic(), 1.0, Grid(8.0, 511))
+    # asymmetric, so the full matrix is iterated and levels lie ~2h apart
+    T = discretize(default_pair()[0], 1.0, Grid(8.0, 511))
+    assert eigensolve._parity_blocks(T) is None
     inverse_iteration = eigensolve._inverse_iteration
-    # every level polished with the vector of the level above (spacing 2h)
+    # every level polished with the vector of the level above
     monkeypatch.setattr(eigensolve, "_inverse_iteration",
                         lambda T, lam: inverse_iteration(T, lam + 2.0))
+    with pytest.raises(ConvergenceError, match="bracket"):
+        eigenvalues_below(T, 6.0)
+
+
+def test_polish_outside_bracket_is_an_error_in_a_parity_block(monkeypatch):
+    T = discretize(harmonic(), 1.0, Grid(8.0, 511))
+    assert eigensolve._parity_blocks(T) is not None
+    inverse_iteration = eigensolve._inverse_iteration
+    # a block holds every other level, so the next one of its parity is 4h up
+    monkeypatch.setattr(eigensolve, "_inverse_iteration",
+                        lambda T, lam: inverse_iteration(T, lam + 4.0))
     with pytest.raises(ConvergenceError, match="bracket"):
         eigenvalues_below(T, 6.0)
 
@@ -150,6 +165,39 @@ def test_polish_factors_once_per_level(monkeypatch):
     assert len(spec) == 8
     assert calls["dgttrf"] == len(spec)
     assert calls["dgttrs"] <= 3 * len(spec)
+
+
+@pytest.mark.parametrize("h, n, E", [(1.0, 511, 20.0), (0.5, 1023, 10.0),
+                                     (0.3, 2047, 9.0), (0.25, 4095, 10.0),
+                                     (0.1, 16383, 10.0)])
+def test_parity_blocks_match_full_matrix(monkeypatch, h, n, E):
+    T = discretize(harmonic(), h, Grid(8.0, n))
+    assert eigensolve._parity_blocks(T) is not None
+    blocks = eigenvalues_below(T, E)
+    monkeypatch.setattr(eigensolve, "_parity_blocks", lambda T: None)
+    full = eigenvalues_below(T, E)
+    assert count_below(T, E) == len(blocks) == len(full)
+    np.testing.assert_array_equal(blocks.eigenvalues, full.eigenvalues)
+    # the brackets differ, so the low parts differ by the rounding of the
+    # Rayleigh correction, a few ulps of the bracket width
+    width = 1e-9 * max(1.0, E)
+    assert np.max(np.abs(blocks.eigenvalues_lo - full.eigenvalues_lo)) <= 8 * EPS * width
+
+
+def test_parity_blocks_need_odd_n_and_palindromic_diagonal():
+    assert eigensolve._parity_blocks(discretize(harmonic(), 1.0, Grid(8.0, 512))) is None
+    assert eigensolve._parity_blocks(
+        discretize(PotentialSpec(t=0.0, eps=0.05), 1.0, Grid(8.0, 511))) is None
+    T = discretize(harmonic(), 1.0, Grid(8.0, 511))
+    (even, unfold_even), (odd, unfold_odd) = eigensolve._parity_blocks(T)
+    assert (even.n, odd.n) == (256, 255)
+    z = np.linspace(1.0, 2.0, odd.n)
+    v = unfold_odd(z)
+    assert v.size == T.n and v[255] == 0.0
+    np.testing.assert_array_equal(v, -v[::-1])
+    v = unfold_even(np.linspace(1.0, 2.0, even.n))
+    assert v.size == T.n
+    np.testing.assert_array_equal(v, v[::-1])
 
 
 def test_refine_harmonic_accuracy():

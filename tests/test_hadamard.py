@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specpair import cli, eigensolve
 from specpair.errors import PreconditionError
 from specpair.potential import BumpSpec, PotentialSpec, bump_eval, harmonic
 from specpair.eigensolve import Grid
@@ -109,3 +110,24 @@ def test_second_order_decay_invariant():
     C = discs[0] / (8e-4) ** 2
     for e, d in zip((8e-4, 4e-4, 2e-4), discs):
         assert d <= 1.5 * C * e * e + 1e-12
+
+
+def test_hadamard_check_solves_each_row_once(monkeypatch, tmp_path):
+    calls = {"dgttrf": 0}
+    dgttrf = eigensolve.dgttrf
+
+    def counted(*args, **kwargs):
+        calls["dgttrf"] += 1
+        return dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "dgttrf", counted)
+    # one level solve (2 levels in the window, then the vector) plus the
+    # +-eps_fd pair: formula and oracle share the solve
+    variation_check(harmonic(), 1.0, 1, TAIL, grid=GRID)
+    assert calls["dgttrf"] == 5
+    calls["dgttrf"] = 0
+    rep = cli.run({}, "hadamard-check", out_dir=tmp_path)
+    assert rep.ok
+    # 4 variation rows at 5, the normalization solve (3), the witness on two
+    # grids (2 x 3); solving each row's level twice took 41
+    assert calls["dgttrf"] == 29

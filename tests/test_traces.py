@@ -123,7 +123,7 @@ def test_weyl_consistency_closed_form():
     fit = weyl_consistency(harmonic(), F_EXP, hs, nu_values=nus)
     assert fit.a0_fit == pytest.approx(math.pi, abs=1e-3)
     assert fit.a1_fit == pytest.approx(-math.pi / 6.0, rel=0.05)
-    assert not fit.contaminated
+    assert fit.max_fit_residual <= 1e-4
 
 
 def test_weyl_consistency_preconditions():
