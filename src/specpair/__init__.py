@@ -44,7 +44,7 @@ from .weber import (
     ode_ground_state,
     solve_weber,
 )
-from .hadamard import asymmetry_witness, fd_oracle, variational_derivative
+from .hadamard import asymmetry_witness, fd_oracle, solve_level, variational_derivative
 from .traces import (
     GapCurve,
     TestFunction,

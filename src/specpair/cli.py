@@ -59,6 +59,12 @@ def _positive_list(v, key: str) -> list[float]:
     return [check_real(x, key, positive=True) for x in v]
 
 
+def _out_dir(v) -> str:
+    if not isinstance(v, str) or not v:
+        raise PreconditionError(f"out_dir must be a non-empty string, got {v!r}")
+    return v
+
+
 @dataclass
 class ExperimentConfig:
     potential: PotentialSpec
@@ -104,7 +110,7 @@ class ExperimentConfig:
                    eps_fd=check_real(merged["eps_fd"], "eps_fd", positive=True),
                    shoot_h_list=_positive_list(merged["shoot_h_list"], "shoot_h_list"),
                    shoot_j_max=_count(merged["shoot_j_max"], "shoot_j_max"),
-                   out_dir=str(merged["out_dir"]), raw=merged)
+                   out_dir=_out_dir(merged["out_dir"]), raw=merged)
 
     def grids(self) -> tuple[Grid, Grid]:
         return grid_pair(self.grid_L, self.grid_intervals)
@@ -301,9 +307,9 @@ def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
 def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
     p = cfg.potential
     base = PotentialSpec(t=p.t, eps=0.0, alpha=p.alpha, beta=p.beta)
-    grid = Grid(cfg.grid_L, cfg.grid_intervals - 1)
+    level = hadamard.solve_level(base, cfg.h, 1, Grid(cfg.grid_L, cfg.grid_intervals - 1))
     rows = []
-    r = hadamard.variation_check(base, cfg.h, 1, p.beta, eps_fd=cfg.eps_fd, grid=grid)
+    r = hadamard.variation_check(level, p.beta, eps_fd=cfg.eps_fd)
     rows.append(r.to_csv_row(cfg.h))
     rel = r.discrepancy / abs(r.formula_value)
     rep.check("hadamard.formula_vs_oracle", rel <= 1e-4, 1e-4 - rel,
@@ -312,7 +318,7 @@ def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
     well = BumpSpec(center=0.5, half_width=0.5, amplitude=1.0)
     discs = []
     for e in (4e-4, 2e-4, 1e-4):
-        rw = hadamard.variation_check(base, cfg.h, 1, well, eps_fd=e, grid=grid)
+        rw = hadamard.variation_check(level, well, eps_fd=e)
         rows.append(rw.to_csv_row(cfg.h))
         discs.append(rw.discrepancy)
     ratios = [discs[i] / discs[i + 1] for i in range(len(discs) - 1)]
@@ -321,12 +327,12 @@ def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
               min(ratios) - 2.5,
               f"halving eps_fd shrinks the discrepancy ~4x: ratios {ratios}")
 
-    sanity = hadamard.constant_direction_sanity(base, cfg.h, 1, grid)
+    sanity = hadamard.constant_direction_sanity(level)
     rep.check("hadamard.normalization", abs(sanity - 1.0) <= 1e-10,
               1e-10 - abs(sanity - 1.0),
               "constant direction integrates the squared eigenfunction to 1")
 
-    w = hadamard.asymmetry_witness(base, cfg.h, p.beta, grid=grid)
+    w = hadamard.asymmetry_witness(level, p.beta)
     rows.append({"j": 1, "h": cfg.h, "formula": w.d_plus, "oracle": w.d_minus,
                  "eps_fd": 0.0, "discrepancy": w.gap})
     rep.check("hadamard.asymmetry_witness", w.significant,
@@ -394,11 +400,11 @@ def _exp_pruefer(cfg: ExperimentConfig, rep: Report):
     qb = pruefer.CoefficientQ(lam=lam1)                 # bare oscillator
     qs = pruefer.CoefficientQ(lam=lam1, potential=base)  # with the alpha bump
     th0 = math.atan2(float(w.value(-3.0)), float(w.derivative(-3.0)))
-    ang = pruefer.compare_angles(qb, qs, -3.0, th0, -w.a)
+    tb, ts = pruefer.integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
+    ang = pruefer.compare_angles(tb, ts)
     rep.check("pruefer.angle_ordering", ang.ok, ang.min_margin,
               f"perturbed angle stays below the bare one, min margin "
               f"{ang.min_margin:.2e} at x = {ang.argmin_x:.3f}")
-    tb, ts = pruefer.integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
     sol = pruefer.compare_solutions(float(u1(-3.0)), tb, ts, (-3.0, -w.a))
     rep.check("pruefer.solution_ordering", sol.ok, sol.min_margin,
               f"perturbed ground state dominates W on [-3, -a], min margin "
@@ -525,6 +531,27 @@ def run(config: dict | ExperimentConfig, experiment: str,
     return rep
 
 
+def _cli_config(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's object with the command-line overrides merged in."""
+    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    check_keys(cfg, DEFAULTS, "config")
+
+    def merge(section: str, **values):
+        values = {k: v for k, v in values.items() if v is not None}
+        if values:
+            sub = cfg.get(section, {})
+            check_keys(sub, DEFAULTS[section], section)
+            cfg[section] = {**sub, **values}
+
+    merge("potential", t=args.t, eps=args.eps)
+    merge("grid", intervals=args.grid_n, L=args.grid_L)
+    if args.h is not None:
+        cfg["h"] = args.h
+    if args.out is not None:
+        cfg["out_dir"] = args.out
+    return cfg
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="specpair",
@@ -552,30 +579,8 @@ def main(argv=None) -> int:
     if args.experiment is None:
         parser.error("an experiment is required (or --print-defaults)")
 
-    cfg_dict: dict = {}
-    if args.config:
-        cfg_dict = json.loads(Path(args.config).read_text())
-    if args.h is not None:
-        cfg_dict["h"] = args.h
-    pot = dict(cfg_dict.get("potential", {}))
-    if args.t is not None:
-        pot["t"] = args.t
-    if args.eps is not None:
-        pot["eps"] = args.eps
-    if pot:
-        cfg_dict["potential"] = pot
-    grid = dict(cfg_dict.get("grid", {}))
-    if args.grid_n is not None:
-        grid["intervals"] = args.grid_n
-    if args.grid_L is not None:
-        grid["L"] = args.grid_L
-    if grid:
-        cfg_dict["grid"] = grid
-    if args.out is not None:
-        cfg_dict["out_dir"] = args.out
-
     try:
-        rep = run(cfg_dict, args.experiment, out_dir=args.out)
+        rep = run(_cli_config(args), args.experiment, out_dir=args.out)
     except Exception as exc:  # noqa: BLE001 - harness boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2

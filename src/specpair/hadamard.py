@@ -17,36 +17,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dd
-from .eigensolve import (Grid, TridiagonalOperator, discretize,
+from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize,
                          eigenvalues_below, eigenvector, _inverse_iteration)
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
 __all__ = [
+    "Level",
     "VariationResult",
     "AsymmetryWitness",
+    "solve_level",
     "variational_derivative",
     "fd_oracle",
     "variation_check",
+    "constant_direction_sanity",
     "asymmetry_witness",
 ]
 
 _DEFAULT_GRID = Grid(8.0, 4095)
 
 
+@dataclass(frozen=True, eq=False)
+class Level:
+    """Level j of potential p, solved once on the grid of ``T``.
+
+    ``spec`` is the polished spectrum of the level's window, ``lam`` its
+    j-th value and ``u`` the normalized eigenvector of ``T`` at ``lam``.
+    """
+
+    p: PotentialSpec
+    j: int
+    T: TridiagonalOperator
+    spec: Spectrum
+    lam: float
+    u: np.ndarray
+
+
 def _window_for_level(p: PotentialSpec, h: float, j: int) -> float:
     return (2.0 * j + 1.0) * h + 0.5 + p.t + p.eps
 
 
-def _solve_level(p: PotentialSpec, h: float, j: int, grid: Grid):
-    """Level j of p on ``grid``: (T, spectrum of its window, lambda_j, u_j)."""
+def solve_level(p: PotentialSpec, h: float, j: int, grid: Grid = _DEFAULT_GRID) -> Level:
+    """Level j of p at semiclassical parameter h on ``grid``, for the checks below."""
     T = discretize(p, h, grid)
     E = _window_for_level(p, h, j)
     spec = eigenvalues_below(T, E)
     if len(spec) < j:
         raise PreconditionError(f"window E = {E} holds only {len(spec)} levels, need {j}")
     lam = float(spec.eigenvalues[j - 1])
-    return T, spec, lam, eigenvector(T, lam)
+    return Level(p=p, j=j, T=T, spec=spec, lam=lam, u=eigenvector(T, lam))
 
 
 def _bump_on_grid(beta: BumpSpec, grid: Grid, reflected: bool) -> np.ndarray:
@@ -54,15 +73,10 @@ def _bump_on_grid(beta: BumpSpec, grid: Grid, reflected: bool) -> np.ndarray:
     return bump_eval(beta, -x if reflected else x)
 
 
-def variational_derivative(p: PotentialSpec, h: float, j: int, beta: BumpSpec,
-                           reflected: bool = False,
-                           grid: Grid = _DEFAULT_GRID, level=None) -> float:
-    """dx * sum beta(+-x_i) u_j(x_i)^2 with the solver's normalization.
-
-    ``level`` is the ``_solve_level(p, h, j, grid)`` result when the caller
-    already has it.
-    """
-    _, _, _, u = level or _solve_level(p, h, j, grid)
+def variational_derivative(level: Level, beta: BumpSpec, reflected: bool = False) -> float:
+    """dx * sum beta(+-x_i) u_j(x_i)^2 with the solver's normalization."""
+    grid = level.T.grid
+    u = level.u
     return float(grid.dx * np.dot(_bump_on_grid(beta, grid, reflected), u * u))
 
 
@@ -90,25 +104,20 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
     return (ph - mh) + (pl - ml)
 
 
-def fd_oracle(p: PotentialSpec, h: float, j: int, beta: BumpSpec,
-              reflected: bool = False, eps_fd: float = 1e-5,
-              grid: Grid = _DEFAULT_GRID, level=None) -> float:
-    """(lam_j(+eps_fd) - lam_j(-eps_fd)) / (2 eps_fd) on one shared grid.
-
-    ``level`` is as in ``variational_derivative``.
-    """
-    T, spec, lam, _ = level or _solve_level(p, h, j, grid)
-    lams = spec.eigenvalues
+def fd_oracle(level: Level, beta: BumpSpec, reflected: bool = False,
+              eps_fd: float = 1e-5) -> float:
+    """(lam_j(+eps_fd) - lam_j(-eps_fd)) / (2 eps_fd) on the level's grid."""
+    j, lams = level.j, level.spec.eigenvalues
     gap_lo = lams[j - 1] - lams[j - 2] if j >= 2 else np.inf
-    gap_hi = lams[j] - lams[j - 1] if j < len(spec) else np.inf
-    bvals = _bump_on_grid(beta, grid, reflected)
+    gap_hi = lams[j] - lams[j - 1] if j < len(level.spec) else np.inf
+    bvals = _bump_on_grid(beta, level.T.grid, reflected)
     # ordering must not change across the +-eps_fd window
     shift_bound = eps_fd * float(np.max(np.abs(bvals)))
     if shift_bound > 0.4 * min(gap_lo, gap_hi):
         raise PreconditionError(
             f"eps_fd = {eps_fd} can move level {j} by {shift_bound:.3e}, "
             f"comparable to its spectral gaps")
-    diff = _polished_pair_difference(T, bvals, eps_fd, lam)
+    diff = _polished_pair_difference(level.T, bvals, eps_fd, level.lam)
     return diff / (2.0 * eps_fd)
 
 
@@ -126,26 +135,22 @@ class VariationResult:
                 "discrepancy": self.discrepancy}
 
 
-def variation_check(p: PotentialSpec, h: float, j: int, beta: BumpSpec,
-                    reflected: bool = False, eps_fd: float = 1e-5,
-                    grid: Grid = _DEFAULT_GRID) -> VariationResult:
-    """Formula and oracle side by side, from one solve of level j."""
-    level = _solve_level(p, h, j, grid)
-    formula = variational_derivative(p, h, j, beta, reflected, grid, level=level)
-    oracle = fd_oracle(p, h, j, beta, reflected, eps_fd, grid, level=level)
-    return VariationResult(j=j, formula_value=formula, oracle_value=oracle,
+def variation_check(level: Level, beta: BumpSpec, reflected: bool = False,
+                    eps_fd: float = 1e-5) -> VariationResult:
+    """Formula and oracle side by side on one solved level."""
+    formula = variational_derivative(level, beta, reflected)
+    oracle = fd_oracle(level, beta, reflected, eps_fd)
+    return VariationResult(j=level.j, formula_value=formula, oracle_value=oracle,
                            eps_fd=eps_fd, discrepancy=abs(formula - oracle))
 
 
-def constant_direction_sanity(p: PotentialSpec, h: float, j: int,
-                              grid: Grid = _DEFAULT_GRID) -> float:
+def constant_direction_sanity(level: Level) -> float:
     """The derivative in the direction of the constant 1 potential shift.
 
     Must equal 1 for a normalized eigenfunction: shifting V by a constant
     shifts every eigenvalue by exactly that constant.
     """
-    _, _, _, u = _solve_level(p, h, j, grid)
-    return float(grid.dx * np.dot(u, u))
+    return float(level.T.grid.dx * np.dot(level.u, level.u))
 
 
 @dataclass
@@ -160,31 +165,32 @@ class AsymmetryWitness:
         return abs(self.gap) > 100.0 * self.error_estimate
 
 
-def asymmetry_witness(p_base: PotentialSpec, h: float, beta: BumpSpec,
-                      grid: Grid = _DEFAULT_GRID) -> AsymmetryWitness:
+def asymmetry_witness(level: Level, beta: BumpSpec) -> AsymmetryWitness:
     """Directional derivatives toward beta(x) and beta(-x), and their gap.
 
-    The base potential may carry only the alpha bump (eps = 0; t = 0 gives
-    the symmetric control, where the gap must vanish).  The gap equals the
-    integral of beta against the odd part of u_1^2 and is the ground-state
-    asymmetry certificate.  The error estimate comes from repeating the
-    quadrature on the half-resolution grid.
+    ``level`` is the ground level (j = 1) of a base potential that carries
+    only the alpha bump (eps = 0; t = 0 gives the symmetric control, where
+    the gap must vanish).  The gap equals the integral of beta against the
+    odd part of u_1^2 and is the ground-state asymmetry certificate.  The
+    error estimate comes from repeating the quadrature on the
+    half-resolution grid, the one level this function solves itself.
     """
-    if p_base.eps != 0.0:
+    if level.p.eps != 0.0:
         raise PreconditionError("base potential must have eps = 0")
+    if level.j != 1:
+        raise PreconditionError(f"the witness needs the ground level, got j = {level.j}")
 
-    def one(g: Grid):
-        _, _, _, u = _solve_level(p_base, h, 1, g)
-        x = g.nodes()
-        b = bump_eval(beta, x)
+    def one(g: Grid, u: np.ndarray):
+        b = bump_eval(beta, g.nodes())
         u2 = u * u
         dp = g.dx * float(np.dot(b, u2))
         dm = g.dx * float(np.dot(b, u2[::-1]))   # beta(-x) pairs with reversed nodes
         return dp, dm
 
-    dp_f, dm_f = one(grid)
+    grid = level.T.grid
+    dp_f, dm_f = one(grid, level.u)
     coarse = Grid(grid.L, (grid.n + 1) // 2 - 1)
-    dp_c, dm_c = one(coarse)
+    dp_c, dm_c = one(coarse, solve_level(level.p, level.T.h, 1, coarse).u)
     gap_f = dp_f - dm_f
     gap_c = dp_c - dm_c
     est = abs(gap_f - gap_c) / 3.0 + 1e-16 * abs(dp_f)

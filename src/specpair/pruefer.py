@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+EPS_PER_LENGTH = 1e-11   # local error per unit length of the angle integrations
+MAX_STEP = 0.02          # their largest step, so traces sample the path densely
+
+
 def _bump_scalar(center: float, half_width: float, amplitude: float, x: float) -> float:
     u = (x - center) / half_width
     if -1.0 < u < 1.0:
@@ -85,12 +89,6 @@ class CoefficientQ:
 
         return q
 
-    def __call__(self, x):
-        q = self.scalar_fn()
-        if np.isscalar(x):
-            return q(float(x))
-        return np.array([q(float(xi)) for xi in np.asarray(x).ravel()])
-
 
 @dataclass
 class PrueferTrace:
@@ -123,23 +121,21 @@ def _angle_rhs(qf):
     return rhs
 
 
-def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float,
-                    eps_per_length: float = 1e-11, max_step: float = 0.02) -> PrueferTrace:
+def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float) -> PrueferTrace:
     """Integrate the angle (and log-radius) equation from (x0, theta0) to x1."""
     if not x0 < x1:
         raise PreconditionError("need x0 < x1")
     qf = q.scalar_fn()
     xs, ys = _rk.integrate(_angle_rhs(qf), x0, (theta0, 0.0), x1,
-                           eps_per_length=eps_per_length, max_step=max_step)
+                           eps_per_length=EPS_PER_LENGTH, max_step=MAX_STEP)
     arr = np.asarray(ys)
     return PrueferTrace(xs=np.asarray(xs), thetas=arr[:, 0], log_rs=arr[:, 1],
                         start=(x0, theta0), q=q)
 
 
 def integrate_angle_pair(q_big: CoefficientQ, q_small: CoefficientQ,
-                         x0: float, theta0: float, x1: float,
-                         eps_per_length: float = 1e-11,
-                         max_step: float = 0.02) -> tuple[PrueferTrace, PrueferTrace]:
+                         x0: float, theta0: float,
+                         x1: float) -> tuple[PrueferTrace, PrueferTrace]:
     """Integrate both angle systems jointly so the traces share step points."""
     if not x0 < x1:
         raise PreconditionError("need x0 < x1")
@@ -156,7 +152,7 @@ def integrate_angle_pair(q_big: CoefficientQ, q_small: CoefficientQ,
                 qqs * ss * ss + cs * cs, (1.0 - qqs) * ss * cs)
 
     xs, ys = _rk.integrate(rhs, x0, (theta0, 0.0, theta0, 0.0), x1,
-                           eps_per_length=eps_per_length, max_step=max_step)
+                           eps_per_length=EPS_PER_LENGTH, max_step=MAX_STEP)
     arr = np.asarray(ys)
     xs = np.asarray(xs)
     tb = PrueferTrace(xs=xs, thetas=arr[:, 0], log_rs=arr[:, 1], start=(x0, theta0), q=q_big)
@@ -176,29 +172,35 @@ class AngleComparison:
         return self.ok
 
 
-def compare_angles(q_big: CoefficientQ, q_small: CoefficientQ, x0: float,
-                   theta0: float, x1: float, tolerance: float = 1e-9,
-                   eps_per_length: float = 1e-11) -> AngleComparison:
-    """Check theta_small <= theta_big + tolerance pointwise on [x0, x1].
+def _check_shared(trace_big: PrueferTrace, trace_small: PrueferTrace) -> None:
+    """Raise unless both traces start alike and share their abscissae."""
+    if trace_big.start != trace_small.start:
+        raise PreconditionError("traces must share the start point and angle")
+    if not np.array_equal(trace_big.xs, trace_small.xs):
+        raise PreconditionError(
+            "traces must share their abscissae; integrate them with integrate_angle_pair")
 
-    Requires Q_small <= Q_big on the interval (validated by dense sampling);
-    both angles start from the same (x0, theta0).
+
+def compare_angles(trace_big: PrueferTrace, trace_small: PrueferTrace,
+                   tolerance: float = 1e-9) -> AngleComparison:
+    """Check theta_small <= theta_big + tolerance pointwise along the traces.
+
+    Requires Q_small <= Q_big on the traces' span (validated by dense
+    sampling of their coefficients) and traces from ``integrate_angle_pair``.
     """
-    qb = q_big.scalar_fn()
-    qs = q_small.scalar_fn()
-    grid = np.arange(x0, x1 + 5e-4, 1e-3)
-    for x in grid:
+    _check_shared(trace_big, trace_small)
+    qb = trace_big.q.scalar_fn()
+    qs = trace_small.q.scalar_fn()
+    for x in np.arange(trace_big.start[0], trace_big.xs[-1] + 5e-4, 1e-3):
         if qs(float(x)) > qb(float(x)) + 1e-12:
             raise PreconditionError(
                 f"Q ordering violated at x = {x:.6g}: "
                 f"{qs(float(x)):.6g} > {qb(float(x)):.6g}")
-    tb, ts = integrate_angle_pair(q_big, q_small, x0, theta0, x1,
-                                  eps_per_length=eps_per_length)
-    margins = tb.thetas - ts.thetas
+    margins = trace_big.thetas - trace_small.thetas
     i = int(np.argmin(margins))
     return AngleComparison(ok=bool(margins[i] >= -tolerance),
                            min_margin=float(margins[i]),
-                           argmin_x=float(tb.xs[i]),
+                           argmin_x=float(trace_big.xs[i]),
                            n_samples=int(margins.size),
                            tolerance=tolerance)
 
@@ -233,22 +235,16 @@ def compare_solutions(u_small_start: float, trace_big: PrueferTrace,
                       tolerance: float = 1e-9) -> SolutionComparison:
     """Check u_small_eq >= u_big_eq - tolerance on the interval.
 
-    Solutions are rebuilt from the angle/log-radius paths with matched value
-    at the shared start.  The smaller coefficient Q produces the pointwise
-    larger solution here because its angle stays in (0, pi/2] on the
-    interval; leaving that region is reported as an error.
+    Solutions are rebuilt from the angle/log-radius paths of
+    ``integrate_angle_pair`` with matched value at the shared start.  The
+    smaller coefficient Q produces the pointwise larger solution here
+    because its angle stays in (0, pi/2] on the interval; leaving that
+    region is reported as an error.
     """
-    if trace_big.start != trace_small.start:
-        raise PreconditionError("traces must share the start point and angle")
+    _check_shared(trace_big, trace_small)
     th0 = trace_big.start[1]
     if not 0.0 < th0 <= math.pi / 2:
         raise PreconditionError(f"start angle {th0} outside (0, pi/2]")
-    if trace_big.xs.shape != trace_small.xs.shape or \
-            not np.array_equal(trace_big.xs, trace_small.xs):
-        # re-integrate jointly so both solutions live on one step sequence
-        trace_big, trace_small = integrate_angle_pair(
-            trace_big.q, trace_small.q, trace_big.start[0], th0,
-            float(max(trace_big.xs[-1], trace_small.xs[-1])))
     a, b = interval
     sel = (trace_big.xs >= a - 1e-12) & (trace_big.xs <= b + 1e-12)
     if not np.any(sel):

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .eigensolve import Grid, discretize, eigenvalues_below_multi, grid_pair, refine_multi
-from .errors import PreconditionError, WindowCapError
-from .potential import PotentialSpec, potential_eval
+from .errors import PreconditionError, WindowCapError, check_real
+from .potential import PotentialSpec, _mollifier, potential_eval
 
 __all__ = [
     "TestFunction",
@@ -47,8 +47,9 @@ class TestFunction:
     """Nonnegative test function of energy: decaying exponential or bump.
 
     kind='exponential': f(E) = amplitude * exp(-scale * E), scale > 0.
-    kind='bump': the smooth mollifier in E on (center - half_width,
-    center + half_width).
+    kind='bump': amplitude times the mollifier of ``potential`` in E on
+    (center - half_width, center + half_width), half_width > 0.
+    Every parameter must be a finite number.
     """
 
     __test__ = False   # not a test case, despite the name
@@ -62,9 +63,10 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("exponential", "bump"):
             raise PreconditionError(f"unknown test function kind {self.kind!r}")
-        if self.kind == "exponential" and not self.scale > 0.0:
-            raise PreconditionError("exponential scale must be > 0")
-        if self.amplitude < 0.0:
+        check_real(self.scale, "scale", positive=self.kind == "exponential")
+        check_real(self.center, "center")
+        check_real(self.half_width, "half_width", positive=self.kind == "bump")
+        if check_real(self.amplitude, "amplitude") < 0.0:
             raise PreconditionError("amplitude must be >= 0")
 
     def __call__(self, E):
@@ -72,11 +74,7 @@ class TestFunction:
         if self.kind == "exponential":
             out = self.amplitude * np.exp(-self.scale * E)
         else:
-            u = (E - self.center) / self.half_width
-            out = np.zeros_like(E)
-            inside = np.abs(u) < 1.0
-            w = 1.0 - u[inside] ** 2
-            out[inside] = self.amplitude * np.exp(1.0 - 1.0 / w)
+            out = self.amplitude * _mollifier((E - self.center) / self.half_width)
         return float(out) if out.ndim == 0 else out
 
     def window_for_tail(self, h: float) -> float:

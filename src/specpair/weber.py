@@ -108,7 +108,6 @@ class WeberSolution:
     a: float                      # critical point sits at x = -a
     z0: float | None              # single zero beyond the bump region, if any
     c: float                      # u1(0) / W(0)
-    growth_exponent_fit: tuple[float, float]   # (power of sqrt(2)x, coeff of x^2)
     x_left: float
     x_right: float
     boundary_case: bool           # lambda1 == 1 exactly
@@ -133,8 +132,7 @@ def solve_weber(lambda1: float, x_left: float, x_right: float,
     Seeds (W, W') at ``x_left`` from the decay asymptotics, then rescales the
     whole solution so W(-3) = u1(-3).  Feature extraction: the critical
     point -a (unique sign change of W'), the first zero z0 past the growth
-    onset, the matching constant c = u1(0)/W(0), and a two-parameter fit of
-    the growth law.
+    onset and the matching constant c = u1(0)/W(0).
 
     lambda1 = 1 exactly is the quantized boundary case: W decays on both
     sides, and rounding noise must excite the growing branch near x ~ 6, so
@@ -201,21 +199,9 @@ def solve_weber(lambda1: float, x_left: float, x_right: float,
 
     c = float(u1(0.0)) / float(dense(0.0)[0])
 
-    # two-parameter growth law fit on the last two units (no growth side at
-    # the quantized boundary)
-    if boundary:
-        growth_fit = (math.nan, math.nan)
-    else:
-        mask = xs >= x_right_eff - 2.0
-        xg = xs[mask]
-        yg = np.log(np.abs(W[mask]))
-        A = np.stack([np.ones_like(xg), np.log(math.sqrt(2.0) * xg), xg * xg], axis=1)
-        coef, *_ = np.linalg.lstsq(A, yg, rcond=None)
-        growth_fit = (float(coef[1]), float(coef[2]))
-
     return WeberSolution(lambda1=lambda1, xs=xs, W=W, Wp=Wp, a=a, z0=z0, c=c,
-                         growth_exponent_fit=growth_fit, x_left=x_left,
-                         x_right=x_right_eff, boundary_case=boundary, _dense=dense)
+                         x_left=x_left, x_right=x_right_eff, boundary_case=boundary,
+                         _dense=dense)
 
 
 @dataclass
@@ -368,9 +354,9 @@ def c_identities(w: WeberSolution, u1: Eigenfunction,
     """Measure the two matching identities and the derivative relation at -a.
 
     u1 == W left of the alpha bump, u1 == c W(-.) right of it, and
-    u1'(-a) = -c W'(a).
+    u1'(-a) = -c W'(a).  ``u1`` is the eigenfunction ``w`` was matched to.
     """
-    c = float(u1(0.0)) / float(w.value(0.0))
+    c = w.c
 
     xs_l = np.arange(w.x_left, -3.0 + 1e-12, 1e-3)
     diff_l = np.abs(np.asarray(u1(xs_l)) - w.value(xs_l))

@@ -15,6 +15,7 @@ from specpair.eigensolve import grid_pair, refine_multi
 from specpair.hadamard import (
     asymmetry_witness,
     constant_direction_sanity,
+    solve_level,
     variation_check,
 )
 from specpair.pruefer import (
@@ -100,16 +101,17 @@ def test_criterion_04_superpolynomial_decay(sweep):
 def test_criterion_05_variational_formula():
     base = PotentialSpec(t=0.05, eps=0.0)
     grid = Grid(8.0, 4095)
-    r = variation_check(base, 1.0, 1, base.beta, eps_fd=1e-5, grid=grid)
+    level = solve_level(base, 1.0, 1, grid)
+    r = variation_check(level, base.beta, eps_fd=1e-5)
     rel = r.discrepancy / abs(r.formula_value)
 
     well = BumpSpec(center=0.5, half_width=0.5, amplitude=1.0)
-    discs = [variation_check(base, 1.0, 1, well, eps_fd=e, grid=grid).discrepancy
+    discs = [variation_check(level, well, eps_fd=e).discrepancy
              for e in (4e-4, 2e-4, 1e-4)]
     ratios = [discs[0] / discs[1], discs[1] / discs[2]]
     shrink = all(2.5 <= x <= 6.0 for x in ratios)
 
-    sanity = constant_direction_sanity(base, 1.0, 1, grid)
+    sanity = constant_direction_sanity(level)
     ok = rel <= 1e-4 and shrink and abs(sanity - 1.0) <= 1e-10
     report(5, "first-variation formula vs central differences", ok,
            f"relative discrepancy {rel:.2e} at eps_fd = 1e-5 (tol 1e-4); "
@@ -120,9 +122,9 @@ def test_criterion_05_variational_formula():
 def test_criterion_06_asymmetry_witness():
     grid = Grid(8.0, 4095)
     beta = BumpSpec(center=3.5, half_width=0.5, amplitude=1.0)
-    w = asymmetry_witness(PotentialSpec(t=0.05, eps=0.0), 1.0, beta, grid=grid)
+    w = asymmetry_witness(solve_level(PotentialSpec(t=0.05, eps=0.0), 1.0, 1, grid), beta)
     ratio = abs(w.gap) / max(w.error_estimate, 1e-300)
-    w0 = asymmetry_witness(PotentialSpec(t=0.0, eps=0.0), 1.0, beta, grid=grid)
+    w0 = asymmetry_witness(solve_level(PotentialSpec(t=0.0, eps=0.0), 1.0, 1, grid), beta)
     ok = ratio > 100.0 and abs(w0.gap) <= 1e-12
     report(6, "directional derivatives split", ok,
            f"gap = {w.gap:.4e} at t = 0.05 ({ratio:.1e} x error); "
@@ -137,8 +139,8 @@ def test_criterion_07_matching_suite(weber_bundle):
     qb = CoefficientQ(lam=lam1)
     qs = CoefficientQ(lam=lam1, potential=base)
     th0 = math.atan2(float(w.value(-3.0)), float(w.derivative(-3.0)))
-    ang = compare_angles(qb, qs, -3.0, th0, -w.a)
     tb, ts = integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
+    ang = compare_angles(tb, ts)
     sol = compare_solutions(float(u1(-3.0)), tb, ts, (-3.0, -w.a))
 
     checks = {

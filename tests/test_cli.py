@@ -150,6 +150,27 @@ def test_invalid_potential_value_is_an_error(tmp_path, bad, key):
     assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text, extra", [
+    (None, []),                                   # missing file
+    ('{"h": 1.0', []),                            # malformed JSON
+    ('[{"h": 1.0}]', []),                         # top level not an object
+    ('{"potential": "x"}', ["--t", "0.04"]),      # override into a non-object
+])
+def test_unreadable_config_is_an_error(tmp_path, capsys, text, extra):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code = run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)] + extra)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", [None, 3, "", ["out"]])
+def test_out_dir_must_be_a_non_empty_string(bad):
+    with pytest.raises(PreconditionError, match=r"^out_dir\b"):
+        cli.ExperimentConfig.from_dict({"out_dir": bad})
+
+
 def test_spectrum_window_below_ground_level_is_an_error(tmp_path):
     # h = 1 < E_window < lambda_1 = 1.0000493...: no level to report
     with pytest.raises(PreconditionError, match="E_window"):

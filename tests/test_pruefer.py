@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specpair import cli, pruefer
 from specpair.errors import PreconditionError
 from specpair.potential import PotentialSpec, default_pair, harmonic
 from specpair.eigensolve import grid_pair, refine
@@ -99,7 +100,7 @@ def test_shoot_matches_matrix_for_perturbed_pair():
 
 def test_compare_angles_identical():
     q = CoefficientQ(lam=1.2)
-    rep = compare_angles(q, q, -3.0, 0.6, 0.0)
+    rep = compare_angles(*integrate_angle_pair(q, q, -3.0, 0.6, 0.0))
     assert rep.ok
     assert rep.min_margin == 0.0
 
@@ -109,7 +110,7 @@ def test_compare_angles_perturbed_below_bare():
     lam = 1.00005
     qb = CoefficientQ(lam=lam)
     qs = CoefficientQ(lam=lam, potential=base)
-    rep = compare_angles(qb, qs, -3.0, 0.7, 0.0)
+    rep = compare_angles(*integrate_angle_pair(qb, qs, -3.0, 0.7, 0.0))
     assert rep.ok
     assert rep.min_margin >= -1e-9
     # strictly positive once past the bump
@@ -119,17 +120,17 @@ def test_compare_angles_perturbed_below_bare():
 def test_compare_angles_strict_for_constants():
     qb = CoefficientQ(lam=0.0, const=1.0)
     qs = CoefficientQ(lam=0.0, const=0.0)
-    rep = compare_angles(qb, qs, 0.0, math.pi / 4, 1.0)
-    assert rep.ok
     tb, ts = integrate_angle_pair(qb, qs, 0.0, math.pi / 4, 1.0)
+    rep = compare_angles(tb, ts)
+    assert rep.ok
     assert tb.thetas[-1] > ts.thetas[-1]
 
 
 def test_compare_angles_ordering_precondition():
     qb = CoefficientQ(lam=0.0, const=0.0)
     qs = CoefficientQ(lam=0.0, const=1.0)   # larger, violating the ordering
-    with pytest.raises(PreconditionError):
-        compare_angles(qb, qs, 0.0, 0.5, 1.0)
+    with pytest.raises(PreconditionError, match="Q ordering"):
+        compare_angles(*integrate_angle_pair(qb, qs, 0.0, 0.5, 1.0))
 
 
 def test_compare_solutions_identical_equations():
@@ -193,3 +194,37 @@ def test_compare_solutions_start_mismatch():
     t2 = integrate_angle(q, -3.0, 0.6, 0.0)
     with pytest.raises(PreconditionError):
         compare_solutions(0.01, t1, t2, (-3.0, -1.0))
+
+
+def test_comparisons_need_shared_abscissae():
+    # separately integrated traces step differently past the bump; both
+    # comparisons refuse them instead of re-integrating behind the caller
+    lam = 1.00005
+    qb = CoefficientQ(lam=lam)
+    qs = CoefficientQ(lam=lam, potential=PotentialSpec(t=0.05, eps=0.0))
+    tb = integrate_angle(qb, -3.0, 0.3, -1.0)
+    ts = integrate_angle(qs, -3.0, 0.3, -1.0)
+    assert tb.start == ts.start and not np.array_equal(tb.xs, ts.xs)
+    with pytest.raises(PreconditionError, match="abscissae"):
+        compare_angles(tb, ts)
+    with pytest.raises(PreconditionError, match="abscissae"):
+        compare_solutions(0.008, tb, ts, (-3.0, -1.0))
+
+
+def test_pruefer_compare_integrates_the_pair_once(monkeypatch, tmp_path, weber_bundle):
+    # the default potential's bundle is the shared weber_bundle fixture;
+    # one shot pair keeps the cross-method table short
+    calls = {"pair": 0}
+    pair = pruefer.integrate_angle_pair
+
+    def counted(*args, **kwargs):
+        calls["pair"] += 1
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(pruefer, "integrate_angle_pair", counted)
+    monkeypatch.setattr(cli, "_weber_bundle", lambda cfg: weber_bundle)
+    rep = cli.run({"shoot_h_list": [1.0], "shoot_j_max": 1}, "pruefer-compare",
+                  out_dir=tmp_path)
+    assert rep.ok
+    # angle and solution comparisons share one joint integration
+    assert calls["pair"] == 1

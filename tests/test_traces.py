@@ -38,6 +38,31 @@ def test_test_function_values():
         TestFunction(kind="exponential", scale=0.0)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"half_width": 0.0}, "half_width"),
+    ({"half_width": -2.0}, "half_width"),
+    ({"half_width": math.inf}, "half_width"),
+    ({"center": math.nan}, "center"),
+    ({"scale": math.inf}, "scale"),
+    ({"amplitude": math.inf}, "amplitude"),
+])
+def test_degenerate_bump_test_function_is_an_error(kwargs, key):
+    # half_width = 0 was silently the zero function, and half_width = -2
+    # gave f(5) = 1 while its phase-space term came out 0
+    with pytest.raises(PreconditionError, match=rf"^{key}\b"):
+        TestFunction(kind="bump", **kwargs)
+
+
+def test_bump_test_function_is_the_mollifier():
+    E = np.linspace(2.0, 8.0, 601)
+    u = (E - 5.0) / 2.0
+    inside = np.abs(u) < 1.0
+    expected = np.zeros_like(E)
+    expected[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+    assert np.array_equal(F_BUMP(E), expected)
+    assert F_BUMP(5.0) == 1.0 and F_BUMP(3.0) == 0.0
+
+
 def test_tail_bounds():
     # geometric-series bound from lambda_j >= (2j-1) h
     E = F_EXP.window_for_tail(1.0)
