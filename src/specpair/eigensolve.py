@@ -7,7 +7,15 @@ polished by inverse iteration plus a compensated Rayleigh quotient.  The
 polish matters: bisection alone cannot locate an eigenvalue more tightly
 than a few ulps of ||T||, and the matrix norm grows like 2 h^2/dx^2, which
 would drown the tiny spectral differences this package exists to measure.
-A plain Sturm count (``count_below``) is kept as an independent
+The brackets are therefore only as tight as the polish needs: inverse
+iteration converges from any shift nearer its level than any other, at the
+rate |lam - sigma|/gap, so bisecting further buys nothing (LAPACK's
+``dstevx`` pairs ``dstebz`` with ``dstein`` on the same principle; Parlett,
+*The Symmetric Eigenvalue Problem*, ch. 4).  The Rayleigh correction is
+taken about inverse iteration's own eigenvalue estimate, so a wide bracket
+costs the polished value no precision, and an unrefined level's error
+estimate is the residual floor that inverse iteration certified, not the
+bracket.  A plain Sturm count (``count_below``) is kept as an independent
 cross-check of the extraction.
 
 Grids are built exactly symmetric about 0 (nodes are signed multiples of
@@ -52,6 +60,7 @@ _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
 
 LEVEL_CAP = 512    # most levels one window may hold
+BRACKET_REL = 1e-5  # bracket width per unit of max(1, min(E, top)) of a window
 
 
 @dataclass(frozen=True)
@@ -183,8 +192,9 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _inverse_iteration(T: TridiagonalOperator, lam: float,
-                       shift_offset: float = 1e-12, max_iter: int = 8) -> np.ndarray:
-    """Unit-norm eigenvector for the eigenvalue nearest ``lam``.
+                       shift_offset: float = 1e-12,
+                       max_iter: int = 8) -> tuple[np.ndarray, float]:
+    """Unit-norm eigenvector for the eigenvalue nearest ``lam``, and that eigenvalue.
 
     T - sigma (sigma = lam + shift_offset) is LU-factored once (LAPACK
     ``dgttrf``) and each step is one ``dgttrs`` solve w = (T - sigma)^-1 v.
@@ -192,6 +202,10 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float,
     the residual ||(T - rho(x)) x|| (Parlett, ch. 4).  Once that bound
     reaches 8 eps ||T||_1 one more solve confirms the vector, as LAPACK
     ``dstein`` does; ``max_iter`` steps without it raise ConvergenceError.
+    The confirming solve also gives the eigenvalue: for an eigenvector x,
+    x . (T - sigma)^-1 x = 1/(lam - sigma), so sigma + (x . y)/||w|| (y the
+    returned vector) is accurate to the solve's backward error, ~eps ||T||,
+    however far sigma sits from the level.
     """
     sigma = lam + shift_offset
     dl, d, du, du2, ipiv, info = dgttrf(T.offdiag, T.diag - sigma, T.offdiag)
@@ -211,7 +225,8 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float,
         x, growth = solve(v)
         bound = min(np.linalg.norm(x - v), np.linalg.norm(x + v)) / growth
         if bound <= floor:
-            return solve(x)[0]
+            y, growth = solve(x)
+            return y, sigma + float(np.dot(x, y)) / growth
         v = x
     raise ConvergenceError(
         f"inverse iteration at {sigma:.17g}: residual bound {bound:.3e} above "
@@ -222,15 +237,18 @@ def _polish_one(T: TridiagonalOperator, lam: float, block=None, unfold=None):
     """Inverse iteration + compensated Rayleigh quotient.
 
     Returns (hi, lo, vec): the eigenvalue as an unevaluated double-double
-    sum hi + lo, and the eigenvector used.  With a parity ``block`` of T the
-    iteration runs on the block and ``unfold`` maps its vector to T's
-    length; the Rayleigh quotient is always taken on T itself.
+    sum hi + lo, and the eigenvector used.  The Rayleigh correction is
+    taken about inverse iteration's own eigenvalue estimate, not about
+    ``lam``, so its rounding stays at eps^2 ||T|| however wide the bracket
+    around ``lam`` was.  With a parity ``block`` of T the iteration runs on
+    the block and ``unfold`` maps its vector to T's length; the Rayleigh
+    quotient is always taken on T itself.
     """
-    v = _inverse_iteration(T if block is None else block, lam)
+    v, shift = _inverse_iteration(T if block is None else block, lam)
     if unfold is not None:
         v = unfold(v)
-    corr = _dd.rayleigh_correction(T.diag, T.off_value, v, lam)
-    hi, lo = _dd.two_sum(lam, corr)
+    corr = _dd.rayleigh_correction(T.diag, T.off_value, v, shift)
+    hi, lo = _dd.two_sum(shift, corr)
     return hi, lo, v
 
 
@@ -314,8 +332,14 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
 
     vl lies below the operator's Gershgorin bound, so the window holds every
     eigenvalue up to E.  LAPACK ``dstebz`` brackets each one to width
-    1e-9 * max(1, E), enough for the polish to start nearer its level than
-    any other, and the midpoint is then polished.  A mirror-symmetric
+    t = BRACKET_REL * max(1, min(E, top)), where top = max(diag) + 2|off| is
+    the Gershgorin upper bound; that is enough for the polish to start
+    nearer its level than any other (t is far below the level spacing for
+    up to ``LEVEL_CAP`` levels), and the midpoint is then polished.  Capping
+    E at top keeps a window above the whole spectrum from widening the
+    brackets past the spacing.  The error estimate of each level is the
+    residual floor 8 eps ||T||_1 that inverse iteration certified plus the
+    rounding of the value, not the bracket width.  A mirror-symmetric
     operator is bracketed and inverse-iterated as its even and odd
     half-size blocks (``_parity_blocks``); the unfolded vector's Rayleigh
     quotient is still taken on the full matrix.  More than ``LEVEL_CAP``
@@ -332,7 +356,8 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
             raise GridMarginError(
                 f"V at the boundary is {op.v_boundary:.3f} < E + 10 = {E + 10.0:.3f}; "
                 f"increase L")
-        t = 1e-9 * max(1.0, E)
+        top = float(np.max(op.diag)) + 2.0 * abs(op.off_value)
+        t = BRACKET_REL * max(1.0, min(E, top))
         gershgorin = float(np.min(op.diag)) - 2.0 * abs(op.off_value)
         # the margin covers rounding in the bound; dstebz clips the search
         # interval to its own Gershgorin bound, so it costs no extra steps
@@ -347,7 +372,8 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
             raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
         # the level lies within t/2 of its bracket midpoint; a polish that
         # moves further has found another level
-        slack = t + 8.0 * _EPS * op.norm1()
+        floor = 8.0 * _EPS * op.norm1()
+        slack = t + floor
         lam, lam_lo = np.empty(n_levels), np.empty(n_levels)
         k = 0
         for (B, unfold), block_mids in zip(parts, mids):
@@ -362,9 +388,9 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
         lam, lam_lo = lam[order], lam_lo[order]
         if np.any(np.diff(lam + lam_lo) <= 0.0):
             raise ConvergenceError("polish produced a non-increasing eigenvalue list")
-        # the bracket bounds where each level lies; the polished value is an
-        # eigenvalue of the stored matrix to a few ulps
-        est = 0.5 * t + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
+        # inverse iteration stopped on a residual bound of floor, which bounds
+        # the distance from the Rayleigh quotient to an eigenvalue of T
+        est = floor + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
         results.append(Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
                                 error_estimate=est, grid=op.grid))
     return results

@@ -96,7 +96,7 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
         Tp = TridiagonalOperator(diag=diag, offdiag=T_base.offdiag, h=T_base.h,
                                  grid=T_base.grid, off_value=T_base.off_value,
                                  v_boundary=T_base.v_boundary)
-        v = _inverse_iteration(Tp, lam_guess)
+        v, _ = _inverse_iteration(Tp, lam_guess)
         corr = _dd.rayleigh_correction(T_base.diag, T_base.off_value, v, lam_guess,
                                        extra_diag=bvals, extra_scale=sgn * eps_fd)
         diffs.append(_dd.two_sum(lam_guess, corr))

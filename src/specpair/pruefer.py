@@ -235,6 +235,9 @@ def compare_solutions(u_small_start: float, trace_big: PrueferTrace,
                       tolerance: float = 1e-9) -> SolutionComparison:
     """Check u_small_eq >= u_big_eq - tolerance on the interval.
 
+    The interval must lie within the traces' span; one that reaches past it
+    is an error, not a check of the covered part.
+
     Solutions are rebuilt from the angle/log-radius paths of
     ``integrate_angle_pair`` with matched value at the shared start.  The
     smaller coefficient Q produces the pointwise larger solution here
@@ -246,6 +249,10 @@ def compare_solutions(u_small_start: float, trace_big: PrueferTrace,
     if not 0.0 < th0 <= math.pi / 2:
         raise PreconditionError(f"start angle {th0} outside (0, pi/2]")
     a, b = interval
+    lo, hi = trace_big.xs[0], trace_big.xs[-1]
+    if a < lo - 1e-12 or b > hi + 1e-12:
+        raise PreconditionError(
+            f"interval ({a}, {b}) reaches past the traces' span [{lo}, {hi}]")
     sel = (trace_big.xs >= a - 1e-12) & (trace_big.xs <= b + 1e-12)
     if not np.any(sel):
         raise PreconditionError("interval contains no trace samples")

@@ -98,7 +98,8 @@ def test_harmonic_window_h1():
     np.testing.assert_allclose(lam, [1, 3, 5, 7, 9], atol=1e-4, rtol=0)
     gaps = np.diff(lam)
     assert np.all(gaps > 0)
-    assert np.min(gaps) > 10 * 1e-9 * 10.0   # simplicity with margin over the bracket
+    # simplicity with margin over the bracket
+    assert np.min(gaps) > 10 * eigensolve.BRACKET_REL * 10.0
 
 
 def test_harmonic_window_small_h():
@@ -164,7 +165,10 @@ def test_polish_factors_once_per_level(monkeypatch):
     spec = eigenvalues_below(T, 8.0)
     assert len(spec) == 8
     assert calls["dgttrf"] == len(spec)
-    assert calls["dgttrs"] <= 3 * len(spec)
+    # a shift up to t/2 = 4e-5 from its level gains ~5 digits a step against
+    # the same-parity gap of 2: three steps reach the 8 eps ||T||_1 residual
+    # floor and one more solve confirms the vector
+    assert calls["dgttrs"] <= 4 * len(spec)
 
 
 @pytest.mark.parametrize("h, n, E", [(1.0, 511, 20.0), (0.5, 1023, 10.0),
@@ -178,9 +182,9 @@ def test_parity_blocks_match_full_matrix(monkeypatch, h, n, E):
     full = eigenvalues_below(T, E)
     assert count_below(T, E) == len(blocks) == len(full)
     np.testing.assert_array_equal(blocks.eigenvalues, full.eigenvalues)
-    # the brackets differ, so the low parts differ by the rounding of the
-    # Rayleigh correction, a few ulps of the bracket width
-    width = 1e-9 * max(1.0, E)
+    # the paths iterate from different shifts, so the low parts differ in the
+    # rounding of the Rayleigh correction, far below a few ulps of the bracket
+    width = eigensolve.BRACKET_REL * max(1.0, E)   # E lies below the Gershgorin top
     assert np.max(np.abs(blocks.eigenvalues_lo - full.eigenvalues_lo)) <= 8 * EPS * width
 
 
@@ -198,6 +202,58 @@ def test_parity_blocks_need_odd_n_and_palindromic_diagonal():
     v = unfold_even(np.linspace(1.0, 2.0, even.n))
     assert v.size == T.n
     np.testing.assert_array_equal(v, v[::-1])
+
+
+def test_bracket_width_depends_on_the_effective_top():
+    # every window above the Gershgorin top holds the whole spectrum and
+    # brackets it alike, so E = 1e6 and E = top + 1 agree bit for bit
+    T = discretize(harmonic(), 1.0, Grid(3.0, 7))
+    top = float(np.max(T.diag)) + 2.0 * abs(T.off_value)
+    far = eigenvalues_below(T, 1e6, check_margin=False)
+    near = eigenvalues_below(T, top + 1.0, check_margin=False)
+    assert len(far) == len(near) == 7
+    np.testing.assert_array_equal(far.eigenvalues, near.eigenvalues)
+    np.testing.assert_array_equal(far.eigenvalues_lo, near.eigenvalues_lo)
+    np.testing.assert_array_equal(far.error_estimate, near.error_estimate)
+
+
+def test_splitting_below_the_floor_does_not_depend_on_the_bracket(monkeypatch):
+    # the default pair's ground splitting at h = 0.25 is ~1.1e-21, nine decades
+    # below the gap-sweep floor; a 1e4 times tighter bracket moves it only in
+    # rounding because the polish corrects about inverse iteration's estimate
+    plus, minus = default_pair()
+    gf, gc = grid_pair(8.0, 4096)
+
+    def splitting():
+        return float(refine(plus, 0.25, 0.5, gf, gc).gaps_to(
+            refine(minus, 0.25, 0.5, gf, gc))[0])
+
+    wide = splitting()
+    monkeypatch.setattr(eigensolve, "BRACKET_REL", 1e-9)
+    tight = splitting()
+    assert 1e-22 < tight < 1e-20
+    assert abs(wide - tight) <= 1e-4 * tight
+
+
+def test_window_at_the_level_cap_converges():
+    # ~500 levels 0.04 apart, near LEVEL_CAP: the densest window a bracket
+    # of 2e-4 must separate
+    T = discretize(harmonic(), 0.02, Grid(8.0, 16383))
+    spec = eigenvalues_below(T, 20.0)
+    assert 500 <= len(spec) <= eigensolve.LEVEL_CAP
+    assert len(spec) == count_below(T, 20.0)
+    assert np.all(np.diff(spec.eigenvalues + spec.eigenvalues_lo) > 0.0)
+
+
+@pytest.mark.parametrize("h, E", [(1.0, 10.0), (0.5, 8.0), (0.1, 1.0)])
+def test_unrefined_error_estimate_is_the_residual_floor(h, E):
+    T = discretize(harmonic(), h, Grid(8.0, 4095))
+    spec = eigenvalues_below(T, E)
+    lam = spec.eigenvalues + spec.eigenvalues_lo
+    bound = 8 * EPS * T.norm1() + 8 * EPS * np.maximum(1.0, np.abs(lam))
+    assert np.all(spec.error_estimate <= bound)
+    # far below half the bracket width, which used to be reported
+    assert np.all(spec.error_estimate < 1e-3 * eigensolve.BRACKET_REL * max(1.0, E))
 
 
 def test_refine_harmonic_accuracy():

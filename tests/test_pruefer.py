@@ -188,6 +188,15 @@ def test_compare_solutions_region_guard():
         compare_solutions(0.01, tb, ts, (-3.0, 2.0))
 
 
+@pytest.mark.parametrize("interval", [(-3.0, 5.0), (-10.0, -2.9)])
+def test_compare_solutions_interval_within_traces(interval):
+    # the traces cover [-3, -1]; a longer interval must not pass on that part
+    q = CoefficientQ(lam=1.1)
+    tb, ts = integrate_angle_pair(q, q, -3.0, 0.5, -1.0)
+    with pytest.raises(PreconditionError, match="span"):
+        compare_solutions(0.01, tb, ts, interval)
+
+
 def test_compare_solutions_start_mismatch():
     q = CoefficientQ(lam=1.1)
     t1 = integrate_angle(q, -3.0, 0.5, 0.0)
