@@ -23,10 +23,11 @@ dx), so reflecting a potential reverses the diagonal bitwise and exact
 mirror pairs stay exactly isospectral in floating point.  For the same
 reason a reflection-symmetric potential such as the bare oscillator gives
 an exactly persymmetric matrix, whose eigenvectors are even or odd.  Its
-levels are bracketed and inverse-iterated as two half-size blocks, about
-half the work; each vector is unfolded to full length and the polish's
-compensated Rayleigh quotient is still taken on the full matrix, so every
-value is a Rayleigh quotient of the stored T either way.
+levels are bracketed, inverse-iterated and polished as two half-size
+blocks, about half the work.  The polish's compensated Rayleigh quotient
+of the even or odd vector a block vector stands for is taken on the stored
+T's own rows over one half of the grid, so every value is a Rayleigh
+quotient of the stored T either way.
 """
 
 from __future__ import annotations
@@ -233,23 +234,50 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float,
         f"{floor:.3e} after {max_iter} steps")
 
 
-def _polish_one(T: TridiagonalOperator, lam: float, block=None, unfold=None):
+def _polish_one(T: TridiagonalOperator, lam: float, block=None, parity: int = 0):
     """Inverse iteration + compensated Rayleigh quotient.
 
     Returns (hi, lo, vec): the eigenvalue as an unevaluated double-double
     sum hi + lo, and the eigenvector used.  The Rayleigh correction is
     taken about inverse iteration's own eigenvalue estimate, not about
     ``lam``, so its rounding stays at eps^2 ||T|| however wide the bracket
-    around ``lam`` was.  With a parity ``block`` of T the iteration runs on
-    the block and ``unfold`` maps its vector to T's length; the Rayleigh
-    quotient is always taken on T itself.
+    around ``lam`` was.  With a parity ``block`` of T (``parity`` +1 even,
+    -1 odd; see ``_parity_blocks``) the iteration runs on the block,
+    ``vec`` is the block's vector, and the correction is taken on T's own
+    rows over half the grid (``_rayleigh_correction``).
     """
     v, shift = _inverse_iteration(T if block is None else block, lam)
-    if unfold is not None:
-        v = unfold(v)
-    corr = _dd.rayleigh_correction(T.diag, T.off_value, v, shift)
-    hi, lo = _dd.two_sum(shift, corr)
+    hi, lo = _dd.two_sum(shift, _rayleigh_correction(T, v, shift, parity))
     return hi, lo, v
+
+
+def _rayleigh_correction(T: TridiagonalOperator, z: np.ndarray, shift: float,
+                         parity: int = 0) -> float:
+    """Compensated u.(T - shift)u / u.u for the vector u of T that ``z`` stands for.
+
+    With ``parity`` 0, u = z.  Otherwise T is mirror-symmetric, n = 2m + 1,
+    and z is a vector of its even (+1) or odd (-1) block; u is even or odd
+    about the centre row m, and so is its residual (T - shift) u, so the
+    quotient is a sum over rows m..2m of the stored T, never built at full
+    length.  An odd u vanishes at the centre: rows m+1..2m are the odd
+    block and z is u there.  An even u has u_m = sqrt(2) z_0 and
+    u_{m+k} = u_{m-k} = z_k: T's rows m-1..2m act on (u_{m+1}, u_m, ...,
+    u_2m), row m-1 is dropped, and the centre row counts 1/2 in both sums.
+    Halving is exact, so nothing is rounded into the block's sqrt(2)-scaled
+    coupling.
+    """
+    if parity == 0:
+        return _dd.rayleigh_correction(T.diag, T.off_value, z, shift)
+    m = T.n // 2
+    if parity < 0:
+        return _dd.rayleigh_correction(T.diag[m + 1:], T.off_value, z, shift)
+    u = np.concatenate((z[1:2], z))
+    u[1] *= math.sqrt(2.0)
+    r_hi, r_lo = _dd.tridiag_residual(T.diag[m - 1:], T.off_value, u, shift)
+    u = u[1:]
+    w = u.copy()
+    w[0] *= 0.5
+    return (float(np.dot(r_hi[1:], w)) + float(np.dot(r_lo[1:], w))) / float(np.dot(u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +324,14 @@ class Spectrum:
 
 
 def _parity_blocks(T: TridiagonalOperator):
-    """The even and odd blocks of a mirror-symmetric T, each with its unfolding.
+    """The even and odd blocks of a mirror-symmetric T, each with its parity.
 
     T is mirror-symmetric when n = 2m + 1 and its diagonal is a palindrome;
     then every eigenvector is even or odd about the centre row m.  Even
     vectors solve rows m..2m, whose 2*off coupling at the centre becomes
     sqrt(2)*off once the centre entry is scaled by 1/sqrt(2); odd vectors
-    vanish at the centre and solve rows m+1..2m.  Returns None for any
-    other T.
+    vanish at the centre and solve rows m+1..2m.  Returns
+    ((even, +1), (odd, -1)), or None for any other T.
     """
     n = T.n
     if n % 2 == 0 or not np.array_equal(T.diag, T.diag[::-1]):
@@ -311,19 +339,10 @@ def _parity_blocks(T: TridiagonalOperator):
     m = n // 2
     even_off = T.offdiag[m:].copy()
     even_off[0] *= math.sqrt(2.0)
-
-    def unfold_even(z):
-        y = z.copy()
-        y[0] *= math.sqrt(2.0)
-        return np.concatenate((y[:0:-1], y))
-
-    def unfold_odd(z):
-        return np.concatenate((-z[::-1], [0.0], z))
-
     # the blocks keep T's off_value, so norm1 (the residual floor's scale) is T's
     even = replace(T, diag=T.diag[m:], offdiag=even_off)
     odd = replace(T, diag=T.diag[m + 1:], offdiag=T.offdiag[m + 1:])
-    return (even, unfold_even), (odd, unfold_odd)
+    return (even, 1), (odd, -1)
 
 
 def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
@@ -340,9 +359,10 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
     brackets past the spacing.  The error estimate of each level is the
     residual floor 8 eps ||T||_1 that inverse iteration certified plus the
     rounding of the value, not the bracket width.  A mirror-symmetric
-    operator is bracketed and inverse-iterated as its even and odd
-    half-size blocks (``_parity_blocks``); the unfolded vector's Rayleigh
-    quotient is still taken on the full matrix.  More than ``LEVEL_CAP``
+    operator is bracketed, inverse-iterated and polished as its even and
+    odd half-size blocks (``_parity_blocks``); the Rayleigh quotient is
+    taken on the stored T's rows over half the grid
+    (``_rayleigh_correction``).  More than ``LEVEL_CAP``
     levels in a window raise ``WindowCapError``.  ``check_margin=False``
     skips the turning-point margin guard (useful when the matrix itself,
     not the continuum problem, is the object of study).
@@ -362,7 +382,7 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
         # the margin covers rounding in the bound; dstebz clips the search
         # interval to its own Gershgorin bound, so it costs no extra steps
         vl = gershgorin - 1.0 - 8.0 * _EPS * op.norm1()
-        parts = _parity_blocks(op) or ((op, None),)
+        parts = _parity_blocks(op) or ((op, 0),)
         mids = [eigvalsh_tridiagonal(B.diag, B.offdiag, select="v",
                                      select_range=(vl, E), check_finite=False,
                                      tol=t, lapack_driver="stebz")
@@ -376,9 +396,9 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
         slack = t + floor
         lam, lam_lo = np.empty(n_levels), np.empty(n_levels)
         k = 0
-        for (B, unfold), block_mids in zip(parts, mids):
+        for (B, parity), block_mids in zip(parts, mids):
             for mid in block_mids:
-                lam[k], lam_lo[k], _ = _polish_one(op, mid, B, unfold)
+                lam[k], lam_lo[k], _ = _polish_one(op, mid, B, parity)
                 if abs((lam[k] - mid) + lam_lo[k]) > slack:
                     raise ConvergenceError(
                         f"polish moved a level from its bracket midpoint {mid:.17g} "

@@ -165,7 +165,8 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
     # bump: energies inside (bot, top) only
     bot, top = f.center - f.half_width, f.center + f.half_width
     x_max = math.sqrt(max(top, 0.0)) + 1e-9
-    rules = [np.polynomial.legendre.leggauss(n) for n in (128, 256)]
+    (n_c, w_c), (n_f, w_f) = (np.polynomial.legendre.leggauss(n) for n in (128, 256))
+    nodes = np.concatenate((n_c, n_f))
 
     def g(x):
         v = potential_eval(p, x)
@@ -176,8 +177,9 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
         lo = math.sqrt(min(max(bot - v, 0.0), top - v))
         hi = math.sqrt(top - v)
         mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        coarse, inner = (2.0 * rad * float(wts @ f((mid + rad * nodes) ** 2 + v))
-                         for nodes, wts in rules)
+        vals = f((mid + rad * nodes) ** 2 + v)
+        coarse = 2.0 * rad * float(w_c @ vals[:n_c.size])
+        inner = 2.0 * rad * float(w_f @ vals[n_c.size:])
         ierr = abs(inner - coarse)
         if ierr > max(abs_tol * 1e-4, 1e-12 * abs(inner)):
             raise PreconditionError(

@@ -1,9 +1,10 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
-from specpair import cli
+from specpair import cli, eigensolve, hadamard
 from specpair.errors import PreconditionError
 from specpair.potential import PotentialSpec
 
@@ -216,3 +217,51 @@ def test_charpoly_helper_roots():
     # oracle: dense symmetric eigensolve
     M = np.diag(diag) + np.diag([-0.7] * 5, 1) + np.diag([-0.7] * 5, -1)
     np.testing.assert_allclose(roots, np.linalg.eigvalsh(M), atol=1e-12)
+
+
+def _check_margins(rep):
+    for a in rep.assertions:
+        assert (a.margin >= 0.0) == a.passed, (a.name, a.passed, a.margin)
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("spectrum", {}),
+    ("spectrum", {"potential": {"t": 0.0, "eps": 0.0}}),
+    ("gap-sweep", {}),
+    ("hadamard-check", {}),
+    ("validate", {}),
+    ("trace", {}),
+])
+def test_margin_is_nonnegative_exactly_when_the_check_passes(tmp_path, experiment, config):
+    rep = cli.run(config, experiment, out_dir=tmp_path)
+    assert rep.assertions
+    _check_margins(rep)
+
+
+_refine = eigensolve.refine
+_variation_check = hadamard.variation_check
+
+
+def _shifted_refine(*args):
+    spec = _refine(*args)
+    return replace(spec, eigenvalues_lo=spec.eigenvalues_lo + 1e-3)
+
+
+def _cubic_variation_check(*args, **kwargs):
+    # the discrepancy shrinks 8x per halving of eps_fd instead of ~4x
+    r = _variation_check(*args, **kwargs)
+    return replace(r, discrepancy=kwargs["eps_fd"] ** 3)
+
+
+@pytest.mark.parametrize("experiment, config, patch", [
+    ("spectrum", {"potential": {"t": 0.0, "eps": 0.0}}, (cli, "refine", _shifted_refine)),
+    ("validate", {}, (cli, "refine", _shifted_refine)),
+    ("gap-sweep", {"h_list": [1.0, 0.9, 0.8]}, None),
+    ("hadamard-check", {}, (hadamard, "variation_check", _cubic_variation_check)),
+])
+def test_failed_check_has_a_negative_margin(tmp_path, monkeypatch, experiment, config, patch):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    rep = cli.run(config, experiment, out_dir=tmp_path)
+    assert not rep.ok
+    _check_margins(rep)

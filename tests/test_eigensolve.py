@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specpair import eigensolve
+from specpair import _dd, eigensolve
 from specpair.cli import charpoly_roots
 from specpair.errors import (ConvergenceError, GridMarginError, PreconditionError,
                              WindowCapError)
@@ -193,15 +193,30 @@ def test_parity_blocks_need_odd_n_and_palindromic_diagonal():
     assert eigensolve._parity_blocks(
         discretize(PotentialSpec(t=0.0, eps=0.05), 1.0, Grid(8.0, 511))) is None
     T = discretize(harmonic(), 1.0, Grid(8.0, 511))
-    (even, unfold_even), (odd, unfold_odd) = eigensolve._parity_blocks(T)
+    (even, even_parity), (odd, odd_parity) = eigensolve._parity_blocks(T)
     assert (even.n, odd.n) == (256, 255)
-    z = np.linspace(1.0, 2.0, odd.n)
-    v = unfold_odd(z)
-    assert v.size == T.n and v[255] == 0.0
-    np.testing.assert_array_equal(v, -v[::-1])
-    v = unfold_even(np.linspace(1.0, 2.0, even.n))
-    assert v.size == T.n
-    np.testing.assert_array_equal(v, v[::-1])
+    assert (even_parity, odd_parity) == (1, -1)
+
+
+@pytest.mark.parametrize("h, n, E", [(1.0, 511, 20.0), (0.25, 4095, 10.0),
+                                     (0.1, 16383, 10.0)])
+def test_half_grid_correction_matches_the_unfolded_vector(h, n, E):
+    # the block vector z stands for an even or odd vector u of T; its
+    # Rayleigh correction on half the grid is the one over all of T
+    T = discretize(harmonic(), h, Grid(8.0, n))
+    lam = eigenvalues_below(T, E).eigenvalues
+    m = n // 2
+    for B, parity in eigensolve._parity_blocks(T):
+        for mid in lam[(parity < 0)::2]:
+            z, shift = eigensolve._inverse_iteration(B, mid + 1e-6)
+            u = np.zeros(n)
+            u[m + 1:] = z[parity > 0:]
+            u[:m] = parity * u[:m:-1]
+            if parity > 0:
+                u[m] = z[0] * math.sqrt(2.0)
+            full = _dd.rayleigh_correction(T.diag, T.off_value, u, shift)
+            half = eigensolve._rayleigh_correction(T, z, shift, parity)
+            assert abs(half - full) <= EPS * abs(full) + 4 * EPS ** 2 * T.norm1()
 
 
 def test_bracket_width_depends_on_the_effective_top():

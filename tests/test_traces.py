@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specpair import eigensolve
 from specpair.errors import PreconditionError, WindowCapError
 from specpair.potential import PotentialSpec, default_pair, harmonic
 from specpair.eigensolve import grid_pair
@@ -95,6 +96,15 @@ def test_density_nonincreasing_in_t():
     n1 = spectral_density(PotentialSpec(t=0.2, eps=0.0), 1.0, F_EXP)
     assert n1 < n0
     assert n1 > 0.0
+
+
+@pytest.mark.parametrize("h", [0.5, 0.25])
+def test_density_does_not_depend_on_the_parity_split(monkeypatch, h):
+    # the oscillator's levels come from its parity blocks; the full matrix
+    # must give the same density bit for bit
+    split = spectral_density(harmonic(), h, F_EXP)
+    monkeypatch.setattr(eigensolve, "_parity_blocks", lambda T: None)
+    assert spectral_density(harmonic(), h, F_EXP) == split
 
 
 def test_weyl_term_harmonic_exponential():
