@@ -40,7 +40,7 @@ from .pruefer import (
 from .weber import (
     WeberSolution,
     check_properties,
-    compute_c,
+    matched_ground_state,
     ode_ground_state,
     solve_weber,
 )

@@ -281,7 +281,7 @@ def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
     rep.tables["distance"] = list(curve.to_csv_rows())
     rep.scripts["plot_gap_decay.py"] = _GAP_PLOT
     usable = curve.usable_entries()
-    if not usable:
+    if not usable and plus.t == 0.0:
         rep.check("traces.below_floor", True, curve.noise_floor,
                   "all gaps below noise floor (exact mirror pair)")
         return
@@ -368,11 +368,7 @@ fig.savefig("weber.png", dpi=150)
 def _weber_bundle(cfg: ExperimentConfig):
     p = cfg.potential
     base = PotentialSpec(t=p.t, eps=0.0, alpha=p.alpha, beta=p.beta)
-    lam1 = pruefer.shoot_eigenvalue(base, 1.0, 1, 8.0, lam_tol=1e-12,
-                                    eps_per_length=1e-12)
-    u1 = weber.ode_ground_state(base, lam1)
-    w = weber.solve_weber(lam1, -8.0, 8.0, u1)
-    return base, lam1, u1, w
+    return (base, *weber.matched_ground_state(base))
 
 
 def _exp_weber(cfg: ExperimentConfig, rep: Report):
@@ -392,7 +388,7 @@ def _exp_weber(cfg: ExperimentConfig, rep: Report):
         rep.check("weber.c_above_one", w.c > 1.0 + 1e-7, w.c - (1.0 + 1e-7),
                   "matching constant exceeds 1")
     rep.check("weber.identities", ident.ok,
-              ident.tolerance - max(ident.sup_left, ident.sup_right, ident.deriv_mismatch),
+              weber.IDENTITY_TOL - max(ident.sup_left, ident.sup_right, ident.deriv_mismatch),
               f"sup_left {ident.sup_left:.2e}, sup_right {ident.sup_right:.2e}, "
               f"derivative mismatch {ident.deriv_mismatch:.2e}")
 
@@ -404,11 +400,11 @@ def _exp_pruefer(cfg: ExperimentConfig, rep: Report):
     th0 = math.atan2(float(w.value(-3.0)), float(w.derivative(-3.0)))
     tb, ts = pruefer.integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
     ang = pruefer.compare_angles(tb, ts)
-    rep.check("pruefer.angle_ordering", ang.ok, ang.min_margin + ang.tolerance,
+    rep.check("pruefer.angle_ordering", ang.ok, ang.min_margin + pruefer.COMPARE_TOL,
               f"perturbed angle stays below the bare one, min margin "
               f"{ang.min_margin:.2e} at x = {ang.argmin_x:.3f}")
     sol = pruefer.compare_solutions(float(u1(-3.0)), tb, ts, (-3.0, -w.a))
-    rep.check("pruefer.solution_ordering", sol.ok, sol.min_margin + sol.tolerance,
+    rep.check("pruefer.solution_ordering", sol.ok, sol.min_margin + pruefer.COMPARE_TOL,
               f"perturbed ground state dominates W on [-3, -a], min margin "
               f"{sol.min_margin:.2e}")
     rep.tables["comparison"] = [

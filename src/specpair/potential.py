@@ -12,6 +12,7 @@ extremely hard to tell apart spectrally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -41,6 +42,14 @@ class ValidationError(ValueError):
     """A potential violates one of its standing assumptions."""
 
 
+def _check_finite(spec, fields) -> None:
+    """Raise ValidationError naming the first of ``fields`` that is not finite."""
+    for name in fields:
+        v = getattr(spec, name)
+        if not math.isfinite(v):
+            raise ValidationError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class BumpSpec:
     """A smooth bump: ``amplitude * exp(1 - 1/(1 - u^2))`` with ``u = (x - center)/half_width``.
@@ -55,6 +64,7 @@ class BumpSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, ("center", "half_width", "amplitude"))
         if not self.half_width > 0.0:
             raise ValidationError(f"half_width must be > 0, got {self.half_width}")
         if self.amplitude < 0.0:
@@ -142,6 +152,7 @@ class PotentialSpec:
     beta: BumpSpec = field(default_factory=_default_beta)
 
     def __post_init__(self):
+        _check_finite(self, ("t", "eps"))
         if self.t < 0.0:
             raise ValidationError(f"t must be >= 0, got {self.t}")
         if self.eps < 0.0:

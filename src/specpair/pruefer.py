@@ -38,6 +38,7 @@ __all__ = [
 
 EPS_PER_LENGTH = 1e-11   # local error per unit length of the angle integrations
 MAX_STEP = 0.02          # their largest step, so traces sample the path densely
+COMPARE_TOL = 1e-9       # slack of the angle and solution orderings
 
 
 def _bump_scalar(center: float, half_width: float, amplitude: float, x: float) -> float:
@@ -166,7 +167,6 @@ class AngleComparison:
     min_margin: float          # min over samples of theta_big - theta_small
     argmin_x: float
     n_samples: int
-    tolerance: float
 
     def __bool__(self) -> bool:
         return self.ok
@@ -181,9 +181,8 @@ def _check_shared(trace_big: PrueferTrace, trace_small: PrueferTrace) -> None:
             "traces must share their abscissae; integrate them with integrate_angle_pair")
 
 
-def compare_angles(trace_big: PrueferTrace, trace_small: PrueferTrace,
-                   tolerance: float = 1e-9) -> AngleComparison:
-    """Check theta_small <= theta_big + tolerance pointwise along the traces.
+def compare_angles(trace_big: PrueferTrace, trace_small: PrueferTrace) -> AngleComparison:
+    """Check theta_small <= theta_big + COMPARE_TOL pointwise along the traces.
 
     Requires Q_small <= Q_big on the traces' span (validated by dense
     sampling of their coefficients) and traces from ``integrate_angle_pair``.
@@ -198,11 +197,10 @@ def compare_angles(trace_big: PrueferTrace, trace_small: PrueferTrace,
                 f"{qs(float(x)):.6g} > {qb(float(x)):.6g}")
     margins = trace_big.thetas - trace_small.thetas
     i = int(np.argmin(margins))
-    return AngleComparison(ok=bool(margins[i] >= -tolerance),
+    return AngleComparison(ok=bool(margins[i] >= -COMPARE_TOL),
                            min_margin=float(margins[i]),
                            argmin_x=float(trace_big.xs[i]),
-                           n_samples=int(margins.size),
-                           tolerance=tolerance)
+                           n_samples=int(margins.size))
 
 
 @dataclass
@@ -212,7 +210,6 @@ class SolutionComparison:
     max_margin: float
     argmin_x: float
     n_samples: int
-    tolerance: float
     xs: np.ndarray
     u_small_eq: np.ndarray     # solution of the smaller-Q equation (the perturbed one)
     u_big_eq: np.ndarray
@@ -231,9 +228,9 @@ def _reconstruct(trace: PrueferTrace, start_value: float) -> np.ndarray:
 
 
 def compare_solutions(u_small_start: float, trace_big: PrueferTrace,
-                      trace_small: PrueferTrace, interval: tuple[float, float],
-                      tolerance: float = 1e-9) -> SolutionComparison:
-    """Check u_small_eq >= u_big_eq - tolerance on the interval.
+                      trace_small: PrueferTrace,
+                      interval: tuple[float, float]) -> SolutionComparison:
+    """Check u_small_eq >= u_big_eq - COMPARE_TOL on the interval.
 
     The interval must lie within the traces' span; one that reaches past it
     is an error, not a check of the covered part.
@@ -264,12 +261,11 @@ def compare_solutions(u_small_start: float, trace_big: PrueferTrace,
     u_big = _reconstruct(trace_big, u_small_start)[sel]
     margins = u_small - u_big
     i = int(np.argmin(margins))
-    return SolutionComparison(ok=bool(margins[i] >= -tolerance),
+    return SolutionComparison(ok=bool(margins[i] >= -COMPARE_TOL),
                               min_margin=float(margins[i]),
                               max_margin=float(np.max(margins)),
                               argmin_x=float(trace_big.xs[sel][i]),
                               n_samples=int(margins.size),
-                              tolerance=tolerance,
                               xs=trace_big.xs[sel],
                               u_small_eq=u_small,
                               u_big_eq=u_big)

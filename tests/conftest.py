@@ -3,8 +3,7 @@
 import pytest
 
 from specpair.potential import PotentialSpec
-from specpair.pruefer import shoot_eigenvalue
-from specpair.weber import ode_ground_state, solve_weber
+from specpair.weber import matched_ground_state
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +14,4 @@ def weber_bundle():
     eigenfunction and W the Weber solution matched to it.
     """
     base = PotentialSpec(t=0.05, eps=0.0)
-    lam1 = shoot_eigenvalue(base, 1.0, 1, 8.0, lam_tol=1e-12, eps_per_length=1e-12)
-    u1 = ode_ground_state(base, lam1)
-    return base, lam1, u1, solve_weber(lam1, -8.0, 8.0, u1)
+    return (base, *matched_ground_state(base))

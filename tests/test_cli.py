@@ -65,6 +65,20 @@ def test_gap_sweep_mirror_pair_reports_floor(tmp_path):
     assert (tmp_path / "plot_gap_decay.py").exists()
 
 
+@pytest.mark.parametrize("t", [0.0, 0.05])
+def test_gap_sweep_below_the_floor_passes_only_for_an_exact_mirror(tmp_path, t):
+    # every D at h <= 0.25 lies below the noise floor; only t = 0 makes the
+    # pair an exact mirror, so only there does "below the floor" pass
+    rep = cli.run({"potential": {"t": t}, "h_list": [0.2, 0.22, 0.25]}, "gap-sweep",
+                  out_dir=tmp_path)
+    assert [row["usable"] for row in rep.tables["distance"]] == [0, 0, 0]
+    checks = [(a.name, a.passed, a.margin) for a in rep.assertions]
+    if t == 0.0:
+        assert checks == [("traces.below_floor", True, 1e-12)]
+    else:
+        assert checks == [("traces.fit_available", False, -5.0)]
+
+
 def test_gap_sweep_empty_window_is_an_error(tmp_path):
     # E = 0.5 holds no level once h > 0.5: an error, not "below the noise floor"
     cfg = tmp_path / "cfg.json"

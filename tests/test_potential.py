@@ -137,6 +137,21 @@ def test_negative_strengths_rejected():
         PotentialSpec(eps=-0.1)
 
 
+@pytest.mark.parametrize("field", ["center", "half_width", "amplitude"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_bump_field_rejected(field, value):
+    kwargs = {"center": -2.5, "half_width": 0.5, "amplitude": 1.0, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        BumpSpec(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["t", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_strength_rejected(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        PotentialSpec(**{field: value})
+
+
 def test_json_round_trip():
     p, _ = default_pair(t=0.03, eps=0.08)
     q = PotentialSpec.from_json(p.to_json())

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from specpair.errors import ConvergenceError, PreconditionError
+from specpair import weber
+from specpair.errors import PreconditionError
 from specpair.potential import PotentialSpec, harmonic
 from specpair.eigensolve import Grid, discretize, eigenvalues_below, eigenvector
-from specpair.pruefer import shoot_eigenvalue
 from specpair.weber import (
-    Eigenfunction,
     c_identities,
     check_properties,
-    compute_c,
     ode_ground_state,
     solve_weber,
 )
@@ -57,9 +55,8 @@ def test_default_properties(bundle):
 
 def test_matching_constant_above_one(bundle):
     _, u1, w = bundle
-    c = compute_c(w, u1)
-    assert c > 1.0 + 1e-7
-    assert c == pytest.approx(w.c, abs=1e-12)
+    assert c_identities(w, u1).ok
+    assert w.c > 1.0 + 1e-7
 
 
 def test_matching_identities(bundle):
@@ -70,17 +67,24 @@ def test_matching_identities(bundle):
     assert rep.deriv_mismatch <= 1e-7
 
 
-def test_c_invariant_under_refinement(bundle):
+def test_c_invariant_under_refinement(bundle, monkeypatch):
     lam1, u1, w = bundle
-    w_dense = solve_weber(lam1, -8.0, 8.0, u1, rtol=1e-13, dense_step=5e-4)
+    with monkeypatch.context() as m:
+        m.setattr(weber, "RTOL", 1e-13)
+        m.setattr(weber, "DENSE_STEP", 5e-4)
+        w_dense = solve_weber(lam1, u1)
+    assert w_dense.xs.size == 2 * w.xs.size - 1
     assert abs(w_dense.c - w.c) <= 1e-9
-    w_far = solve_weber(lam1, -10.0, 8.0, u1)
+    with monkeypatch.context() as m:
+        m.setattr(weber, "X_LEFT", -10.0)
+        w_far = solve_weber(lam1, u1)
+    assert w_far.xs[0] == -10.0
     assert abs(w_far.c - w.c) <= 1e-9
 
 
 def test_boundary_case_harmonic():
     u1 = ode_ground_state(harmonic(), 1.0)
-    w = solve_weber(1.0, -8.0, 8.0, u1)
+    w = solve_weber(1.0, u1)
     rep = check_properties(w)
     assert rep.ok, rep.failures
     assert rep.boundary_case
@@ -95,7 +99,7 @@ def test_perturbed_level_partial_properties(bundle):
     # positivity up to 3 fails once the level is far from 1: the zero moves
     # into the well region, while the remaining shape properties persist
     lam1, u1, _ = bundle
-    w = solve_weber(lam1 + 0.5, -8.0, 8.0, u1)
+    w = solve_weber(lam1 + 0.5, u1)
     rep = check_properties(w)
     assert not rep.ok
     assert w.z0 is not None and w.z0 < 3.0
@@ -122,29 +126,28 @@ def test_grid_eigenvector_consistency(bundle):
 def test_precondition_window():
     u1 = ode_ground_state(harmonic(), 1.0)
     with pytest.raises(PreconditionError):
-        solve_weber(0.5, -8.0, 8.0, u1)
-    with pytest.raises(PreconditionError):
-        solve_weber(1.5, -4.0, 8.0, u1)
-    with pytest.raises(PreconditionError):
-        solve_weber(1.5, -8.0, 4.0, u1)
+        solve_weber(0.5, u1)
 
 
-def test_overflow_guard():
-    u1 = ode_ground_state(harmonic(), 1.0)
-    with pytest.raises(PreconditionError, match="overflow"):
-        solve_weber(1.5, -8.0, 60.0, u1)
+class _RightSkewed:
+    """u1 scaled by 1.05 for x > 0: a deliberately mis-scaled partner."""
+
+    def __init__(self, u1):
+        self.u1 = u1
+
+    def __call__(self, x):
+        return np.asarray(self.u1(x)) * (1.0 + 0.05 * (np.asarray(x) > 0.0))
+
+    def derivative(self, x):
+        return self.u1.derivative(x)
 
 
-def test_identity_violation_reported():
-    # a deliberately mis-scaled partner breaks the right-side identity
-    lam1 = shoot_eigenvalue(BASE, 1.0, 1, 8.0, lam_tol=1e-10)
-    u1 = ode_ground_state(BASE, lam1)
-    skew = Eigenfunction(lam=lam1,
-                         _values=lambda x: np.asarray(u1(x)) * (1.0 + 0.05 * (np.asarray(x) > 0.0)),
-                         _deriv=u1.derivative)
-    w = solve_weber(lam1, -8.0, 8.0, u1)
-    with pytest.raises(ConvergenceError, match="identities"):
-        compute_c(w, skew)
+def test_identity_violation_reported(bundle):
+    # the mis-scaled partner breaks the right-side identity only
+    _, u1, w = bundle
+    rep = c_identities(w, _RightSkewed(u1))
+    assert not rep.ok
+    assert rep.sup_left <= weber.IDENTITY_TOL < rep.sup_right
 
 
 def test_trace_reconstruction_matches_weber(bundle):
