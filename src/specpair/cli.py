@@ -275,6 +275,10 @@ fig.savefig("gap_decay.png", dpi=150)
 
 
 def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
+    if cfg.potential.eps == 0.0:
+        raise PreconditionError(
+            "gap-sweep needs potential.eps != 0: at eps = 0 both members are the "
+            "same operator, so there is no splitting to measure")
     plus, minus = cfg.pair()
     curve = traces.gap_sweep(plus, minus, cfg.h_list, window=cfg.gap_window,
                              grids=cfg.grids())

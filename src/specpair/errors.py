@@ -1,4 +1,4 @@
-"""Shared exception types and config value checks."""
+"""Shared exception types, config value checks and the root-finder check."""
 
 import math
 import numbers
@@ -43,3 +43,11 @@ def check_real(v, key: str, positive: bool = False) -> float:
         raise PreconditionError(
             f"{key} must be a finite number{' > 0' if positive else ''}, got {v!r}")
     return float(v)
+
+
+def check_root(res, what: str, a: float, b: float) -> None:
+    """Raise ConvergenceError unless scipy's root result ``res`` converged on [a, b]."""
+    if not res.converged:
+        raise ConvergenceError(
+            f"{what}: no root converged in the bracket [{a:.17g}, {b:.17g}] after "
+            f"{res.iterations} iterations ({res.flag})")

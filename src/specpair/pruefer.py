@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import _rk
-from .errors import BracketError, PreconditionError
+from .errors import BracketError, PreconditionError, check_root
 from .potential import PotentialSpec
 
 __all__ = [
@@ -271,36 +271,27 @@ def compare_solutions(u_small_start: float, trace_big: PrueferTrace,
                               u_big_eq=u_big)
 
 
-def _theta_at_right_end(p: PotentialSpec, h: float, lam: float, L: float,
-                        eps_per_length: float) -> float:
-    q = CoefficientQ(lam=lam, potential=p, h=h)
-    qf = q.scalar_fn()
-
-    def rhs(x, y):
-        th = y[0]
-        s = math.sin(th)
-        c = math.cos(th)
-        return (qf(x) * s * s + c * c,)
-
-    _, ys = _rk.integrate(rhs, -L, (0.0,), L, eps_per_length=eps_per_length,
-                          max_step=0.05, record=False)
-    return ys[-1][0]
-
-
 def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,
                      lam_tol: float = 1e-9, eps_per_length: float = 3e-10) -> float:
     """The j-th Dirichlet eigenvalue on [-L, L] by angle shooting.
 
-    The angle integrated from (-L, 0) is strictly increasing in lam at the
-    right end; the eigenvalue is where it equals j*pi.  Serves as an oracle
-    that is independent of the matrix path.
+    The angle integrated from (-L, 0) crosses j*pi at the right end where
+    lam is the j-th eigenvalue.  It does so in a step, not smoothly: past
+    the right turning point the growing solution takes over on either side
+    of the eigenvalue, and the end angle jumps by about pi across it (at
+    h = 1, L = 8, within 1e-12).  ``brentq`` on that step function
+    degenerates to near-bisection: about 40 integrations per level at
+    lam_tol = 1e-9 and 60 at 1e-12.  A root that does not converge raises
+    ConvergenceError.  Serves as an oracle that is independent of the
+    matrix path.
     """
     if j < 1:
         raise PreconditionError(f"j must be >= 1, got {j}")
     target = j * math.pi
 
     def g(lam: float) -> float:
-        return _theta_at_right_end(p, h, lam, L, eps_per_length) - target
+        qf = CoefficientQ(lam=lam, potential=p, h=h).scalar_fn()
+        return _rk.angle_end(qf, -L, L, eps_per_length, 0.05) - target
 
     # V >= x^2 puts lambda_j above (2j-1) h > lo, so g(lo) < 0 needs no check
     base = (2.0 * j - 1.0) * h
@@ -312,4 +303,7 @@ def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,
         hi = hi + max(h, 1.0)
     else:
         raise BracketError(f"no bracket for j = {j} below lam = {hi:.6g}")
-    return float(brentq(g, lo, hi, xtol=lam_tol, rtol=8.0 * np.finfo(float).eps))
+    lam, res = brentq(g, lo, hi, xtol=lam_tol, rtol=8.0 * np.finfo(float).eps,
+                      full_output=True, disp=False)
+    check_root(res, f"shoot_eigenvalue (j = {j})", lo, hi)
+    return float(lam)

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import pruefer
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, PreconditionError, check_root
 from .potential import PotentialSpec, potential_eval
 
 __all__ = [
@@ -156,7 +156,9 @@ def solve_weber(lambda1: float, u1: DenseSolution) -> WeberSolution:
     if flips.size != 1:
         raise ConvergenceError(f"expected one sign change of W', found {flips.size}")
     i = flips[0]
-    x_crit = brentq(lambda x: float(dense.derivative(x)), xs[i], xs[i + 1], xtol=1e-13)
+    x_crit, res = brentq(lambda x: float(dense.derivative(x)), xs[i], xs[i + 1], xtol=1e-13,
+                         full_output=True, disp=False)
+    check_root(res, "critical point of W", xs[i], xs[i + 1])
     a = -float(x_crit)
     if boundary and abs(a) < 1e-8:
         a = 0.0
@@ -169,7 +171,10 @@ def solve_weber(lambda1: float, u1: DenseSolution) -> WeberSolution:
     z0 = None
     if zflips.size == 1:
         j = zflips[0]
-        z0 = float(brentq(lambda x: float(dense(x)), xs[j], xs[j + 1], xtol=1e-13))
+        z0, res = brentq(lambda x: float(dense(x)), xs[j], xs[j + 1], xtol=1e-13,
+                         full_output=True, disp=False)
+        check_root(res, "zero of W", xs[j], xs[j + 1])
+        z0 = float(z0)
 
     c = float(u1(0.0)) / float(dense(0.0))
 

@@ -79,6 +79,16 @@ def test_gap_sweep_below_the_floor_passes_only_for_an_exact_mirror(tmp_path, t):
         assert checks == [("traces.fit_available", False, -5.0)]
 
 
+def test_gap_sweep_without_beta_is_a_config_error(tmp_path, capsys):
+    # eps = 0 makes both members one operator (D = 0 at every h): exit 2
+    # naming the key, not a failed decay fit
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": {"eps": 0.0}, "h_list": [0.5, 0.7, 1.0]}))
+    assert run_cli(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "potential.eps" in capsys.readouterr().err
+    assert not (tmp_path / "gap-sweep_distance.csv").exists()
+
+
 def test_gap_sweep_empty_window_is_an_error(tmp_path):
     # E = 0.5 holds no level once h > 0.5: an error, not "below the noise floor"
     cfg = tmp_path / "cfg.json"

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specpair import cli, pruefer
-from specpair.errors import PreconditionError
+from specpair import _rk, cli, pruefer
+from specpair.errors import ConvergenceError, PreconditionError
 from specpair.potential import PotentialSpec, default_pair, harmonic
 from specpair.eigensolve import grid_pair, refine
 from specpair.pruefer import (
@@ -77,6 +78,46 @@ def test_trace_csv_and_node_count():
     assert set(rows[0]) == {"x", "theta", "log_r"}
     # lam = 5.3 sits between the 3rd and 4th Dirichlet levels: theta(L) in (3pi, 4pi)
     assert tr.node_count() == 3
+
+
+def integrate_end_angle(qf, x0, x1, eps_per_length, max_step):
+    """theta(x1) from theta(x0) = 0 through the general recording stepper."""
+    def rhs(x, y):
+        s, c = math.sin(y[0]), math.cos(y[0])
+        return (qf(x) * s * s + c * c,)
+
+    _, ys = _rk.integrate(rhs, x0, (0.0,), x1, eps_per_length=eps_per_length,
+                          max_step=max_step)
+    return ys[-1][0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=st.floats(0.5, 30.0), h=st.sampled_from([1.0, 0.5, 0.25]),
+       t=st.floats(0.0, 0.2), eps=st.floats(0.0, 0.2), reflect=st.booleans(),
+       const=st.none() | st.floats(-5.0, 30.0),
+       eps_per_length=st.sampled_from([3e-10, 1e-9]))
+def test_angle_end_is_integrate_bit_for_bit(lam, h, t, eps, reflect, const, eps_per_length):
+    q = CoefficientQ(lam=lam, potential=PotentialSpec(t=t, eps=eps, reflect_beta=reflect),
+                     h=h, const=const)
+    qf = q.scalar_fn()
+    got = _rk.angle_end(qf, -8.0, 8.0, eps_per_length, 0.05)
+    assert got.hex() == integrate_end_angle(qf, -8.0, 8.0, eps_per_length, 0.05).hex()
+
+
+def test_angle_end_step_collapse_raises():
+    # no step can meet a tolerance of 1e-300 per unit length
+    qf = CoefficientQ(lam=1.0).scalar_fn()
+    with pytest.raises(ConvergenceError, match="collapsed"):
+        _rk.angle_end(qf, -1.0, 1.0, 1e-300, 0.05)
+    with pytest.raises(ConvergenceError, match="collapsed"):
+        integrate_end_angle(qf, -1.0, 1.0, 1e-300, 0.05)
+
+
+def test_shoot_non_convergence_is_typed(monkeypatch):
+    brentq = pruefer.brentq
+    monkeypatch.setattr(pruefer, "brentq", lambda *a, **k: brentq(*a, **k, maxiter=3))
+    with pytest.raises(ConvergenceError, match=r"bracket \[.*\] after 3 iterations"):
+        shoot_eigenvalue(harmonic(), 1.0, 1, 8.0)
 
 
 def test_shoot_harmonic_levels():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specpair import weber
-from specpair.errors import PreconditionError
+from specpair.errors import ConvergenceError, PreconditionError
 from specpair.potential import PotentialSpec, harmonic
 from specpair.eigensolve import Grid, discretize, eigenvalues_below, eigenvector
 from specpair.weber import (
@@ -140,6 +140,14 @@ class _RightSkewed:
 
     def derivative(self, x):
         return self.u1.derivative(x)
+
+
+def test_feature_root_non_convergence_is_typed(bundle, monkeypatch):
+    lam1, u1, _ = bundle
+    brentq = weber.brentq
+    monkeypatch.setattr(weber, "brentq", lambda *a, **k: brentq(*a, **k, maxiter=1))
+    with pytest.raises(ConvergenceError, match="critical point of W.*after 1 iterations"):
+        solve_weber(lam1, u1)
 
 
 def test_identity_violation_reported(bundle):
