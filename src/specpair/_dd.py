@@ -23,15 +23,22 @@ def two_sum(a, b):
     return s, e
 
 
-def two_prod(a, b):
-    """Exact product: returns (p, e) with p = fl(a*b) and a*b = p + e."""
-    p = a * b
+def split(a):
+    """Dekker's split: (ah, al) with a = ah + al, each half of 26 bits or fewer."""
     ah = _SPLITTER * a
     ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
+    return ah, a - ah
+
+
+def two_prod(a, b, b_split=None):
+    """Exact product: returns (p, e) with p = fl(a*b) and a*b = p + e.
+
+    ``b_split`` is ``split(b)`` when the caller already has it, so an
+    operand of several products is split once.
+    """
+    p = a * b
+    ah, al = split(a)
+    bh, bl = b_split or split(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
 
@@ -48,15 +55,16 @@ def tridiag_residual(diag, off, u, lam_hi, lam_lo=0.0,
     """
     diag = np.asarray(diag, dtype=float)
     u = np.asarray(u, dtype=float)
+    u_split = split(u)
 
     # shifted diagonal term (diag - lam) * u, keeping the subtraction exact
     d_hi, d_lo = two_sum(diag, -lam_hi)
     d_lo = d_lo - lam_lo
-    p_hi, p_lo = two_prod(d_hi, u)
+    p_hi, p_lo = two_prod(d_hi, u, b_split=u_split)
     p_lo = p_lo + d_lo * u
 
     if extra_diag is not None:
-        b_hi, b_lo = two_prod(np.asarray(extra_diag, dtype=float), u)
+        b_hi, b_lo = two_prod(np.asarray(extra_diag, dtype=float), u, b_split=u_split)
         sb_hi, sb_e = two_prod(extra_scale, b_hi)
         t_hi, t_e = two_sum(p_hi, sb_hi)
         p_hi = t_hi
@@ -64,7 +72,7 @@ def tridiag_residual(diag, off, u, lam_hi, lam_lo=0.0,
 
     # neighbor terms off * u[i-1] and off * u[i+1] from one exact product,
     # accumulated with error-free sums
-    q_hi, q_lo = two_prod(off, u)
+    q_hi, q_lo = two_prod(off, u, b_split=u_split)
     s_hi, s_e = two_sum(p_hi[1:], q_hi[:-1])
     p_hi[1:] = s_hi
     p_lo[1:] = p_lo[1:] + q_lo[:-1] + s_e

@@ -379,7 +379,7 @@ def _exp_weber(cfg: ExperimentConfig, rep: Report):
     base, lam1, u1, w = _weber_bundle(cfg)
     props = weber.check_properties(w)
     ident = weber.c_identities(w, u1)
-    rep.tables["solution"] = [r for i, r in enumerate(w.to_csv_rows()) if i % 10 == 0]
+    rep.tables["solution"] = list(w.to_csv_rows(10))
     rep.scripts["plot_weber.py"] = _WEBER_PLOT
     rep.tables["features"] = [{
         "lambda1": lam1, "a": w.a, "z0": w.z0 if w.z0 is not None else math.nan,

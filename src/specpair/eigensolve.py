@@ -18,6 +18,18 @@ estimate is the residual floor that inverse iteration certified, not the
 bracket.  A plain Sturm count (``count_below``) is kept as an independent
 cross-check of the extraction.
 
+Richardson refinement (``refine``) does not bisect its fine grid.  The
+coarse grid's polished levels lie within the O(dx^2) discretization error
+of their fine-grid partners, far inside the spacing of levels of one
+parity, so each fine level is polished straight from its coarse partner
+(the nested iteration of multigrid; Brandt, *Math. Comp.* 31, 1977).  The
+fine set is certified instead of bracketed: a ``dstebz`` call as wide as
+the window returns only the Sturm count of (vl, E], the polish must find
+exactly that many levels, and consecutive levels must differ by more
+than their error estimates.  A grid pair too coarse for that, where a
+seed sits so far from its level that inverse iteration runs out of steps
+or a level is found twice, falls back to bisecting the fine grid.
+
 Grids are built exactly symmetric about 0 (nodes are signed multiples of
 dx), so reflecting a potential reverses the diagonal bitwise and exact
 mirror pairs stay exactly isospectral in floating point.  For the same
@@ -345,6 +357,80 @@ def _parity_blocks(T: TridiagonalOperator):
     return (even, 1), (odd, -1)
 
 
+def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
+            seeds: np.ndarray | None = None) -> Spectrum:
+    """The polished eigenvalues of one operator in (vl, E]; see ``eigenvalues_below_multi``.
+
+    Without ``seeds`` every level is polished from its ``dstebz`` bracket
+    midpoint.  ``seeds`` approximate the levels in increasing order, e.g.
+    a coarser grid's spectrum.  A mirror-symmetric operator's even block
+    takes seeds 0, 2, 4, ... and its odd block 1, 3, 5, ... (levels
+    alternate parity).  Each block polishes seed + delta, delta being how
+    far its previous level moved from its seed, drops levels above E, and
+    must find exactly as many as the Sturm count of the window, which one
+    ``dstebz`` call of tolerance E - vl returns without bisecting.  A seed
+    too far from its level raises ``ConvergenceError``.
+    """
+    if check_margin and op.v_boundary < E + 10.0:
+        raise GridMarginError(
+            f"V at the boundary is {op.v_boundary:.3f} < E + 10 = {E + 10.0:.3f}; "
+            f"increase L")
+    top = float(np.max(op.diag)) + 2.0 * abs(op.off_value)
+    t = BRACKET_REL * max(1.0, min(E, top))
+    gershgorin = float(np.min(op.diag)) - 2.0 * abs(op.off_value)
+    # the margin covers rounding in the bound; dstebz clips the search
+    # interval to its own Gershgorin bound, so it costs no extra steps
+    vl = gershgorin - 1.0 - 8.0 * _EPS * op.norm1()
+    parts = _parity_blocks(op) or ((op, 0),)
+    # a tolerance as wide as the window stops dstebz at the Sturm counts
+    starts = [eigvalsh_tridiagonal(B.diag, B.offdiag, select="v",
+                                   select_range=(vl, E), check_finite=False,
+                                   tol=t if seeds is None else E - vl,
+                                   lapack_driver="stebz")
+              for B, _ in parts]
+    n_levels = sum(s.size for s in starts)
+    if n_levels > LEVEL_CAP:
+        raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
+    floor = 8.0 * _EPS * op.norm1()
+    # the level lies within t/2 of its bracket midpoint; a polish that
+    # moves further has found another level
+    slack = t + floor
+    lam, lam_lo = [], []
+    for k, ((B, parity), block_starts) in enumerate(zip(parts, starts)):
+        if seeds is None:
+            for mid in block_starts:
+                hi, lo, _ = _polish_one(op, mid, B, parity)
+                if abs((hi - mid) + lo) > slack:
+                    raise ConvergenceError(
+                        f"polish moved a level from its bracket midpoint {mid:.17g} "
+                        f"by {(hi - mid) + lo:.3e}, beyond {slack:.3e}")
+                lam.append(hi)
+                lam_lo.append(lo)
+        else:
+            found, delta = 0, 0.0
+            for seed in seeds[k::len(parts)]:
+                hi, lo, _ = _polish_one(op, seed + delta, B, parity)
+                delta = (hi - seed) + lo
+                if hi + lo <= E:
+                    lam.append(hi)
+                    lam_lo.append(lo)
+                    found += 1
+            if found != block_starts.size:
+                raise ConvergenceError(
+                    f"seeded polish found {found} levels below E = {E} in a block "
+                    f"that holds {block_starts.size}")
+    lam, lam_lo = np.array(lam), np.array(lam_lo)
+    order = np.lexsort((lam_lo, lam))
+    lam, lam_lo = lam[order], lam_lo[order]
+    # inverse iteration stopped on a residual bound of floor, which bounds
+    # the distance from the Rayleigh quotient to an eigenvalue of T
+    est = floor + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
+    if np.any(np.diff(lam + lam_lo) <= est[:-1] + est[1:]):
+        raise ConvergenceError("polish found two levels closer than their error estimates")
+    return Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
+                    error_estimate=est, grid=op.grid)
+
+
 def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
                             check_margin: bool = True) -> list[Spectrum]:
     """The polished eigenvalues of each operator in its window (vl, E].
@@ -358,7 +444,8 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
     E at top keeps a window above the whole spectrum from widening the
     brackets past the spacing.  The error estimate of each level is the
     residual floor 8 eps ||T||_1 that inverse iteration certified plus the
-    rounding of the value, not the bracket width.  A mirror-symmetric
+    rounding of the value, not the bracket width; consecutive levels must
+    differ by more than the sum of their estimates.  A mirror-symmetric
     operator is bracketed, inverse-iterated and polished as its even and
     odd half-size blocks (``_parity_blocks``); the Rayleigh quotient is
     taken on the stored T's rows over half the grid
@@ -370,50 +457,7 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
     Es = [float(e) for e in E_list]
     if len(Es) != len(ops):
         raise PreconditionError("need one window per operator")
-    results: list[Spectrum] = []
-    for op, E in zip(ops, Es):
-        if check_margin and op.v_boundary < E + 10.0:
-            raise GridMarginError(
-                f"V at the boundary is {op.v_boundary:.3f} < E + 10 = {E + 10.0:.3f}; "
-                f"increase L")
-        top = float(np.max(op.diag)) + 2.0 * abs(op.off_value)
-        t = BRACKET_REL * max(1.0, min(E, top))
-        gershgorin = float(np.min(op.diag)) - 2.0 * abs(op.off_value)
-        # the margin covers rounding in the bound; dstebz clips the search
-        # interval to its own Gershgorin bound, so it costs no extra steps
-        vl = gershgorin - 1.0 - 8.0 * _EPS * op.norm1()
-        parts = _parity_blocks(op) or ((op, 0),)
-        mids = [eigvalsh_tridiagonal(B.diag, B.offdiag, select="v",
-                                     select_range=(vl, E), check_finite=False,
-                                     tol=t, lapack_driver="stebz")
-                for B, _ in parts]
-        n_levels = sum(m.size for m in mids)
-        if n_levels > LEVEL_CAP:
-            raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
-        # the level lies within t/2 of its bracket midpoint; a polish that
-        # moves further has found another level
-        floor = 8.0 * _EPS * op.norm1()
-        slack = t + floor
-        lam, lam_lo = np.empty(n_levels), np.empty(n_levels)
-        k = 0
-        for (B, parity), block_mids in zip(parts, mids):
-            for mid in block_mids:
-                lam[k], lam_lo[k], _ = _polish_one(op, mid, B, parity)
-                if abs((lam[k] - mid) + lam_lo[k]) > slack:
-                    raise ConvergenceError(
-                        f"polish moved a level from its bracket midpoint {mid:.17g} "
-                        f"by {(lam[k] - mid) + lam_lo[k]:.3e}, beyond {slack:.3e}")
-                k += 1
-        order = np.lexsort((lam_lo, lam))
-        lam, lam_lo = lam[order], lam_lo[order]
-        if np.any(np.diff(lam + lam_lo) <= 0.0):
-            raise ConvergenceError("polish produced a non-increasing eigenvalue list")
-        # inverse iteration stopped on a residual bound of floor, which bounds
-        # the distance from the Rayleigh quotient to an eigenvalue of T
-        est = floor + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
-        results.append(Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
-                                error_estimate=est, grid=op.grid))
-    return results
+    return [_levels(op, E, check_margin) for op, E in zip(ops, Es)]
 
 
 def eigenvalues_below(T: TridiagonalOperator, E: float,
@@ -452,14 +496,32 @@ def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
 
 def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
                  grid_fine: Grid, grid_coarse: Grid) -> list[Spectrum]:
-    """Richardson-refined spectra for several (potential, h, E) requests on one grid pair."""
+    """Richardson-refined spectra for several (potential, h, E) requests on one grid pair.
+
+    The coarse grid is solved by ``eigenvalues_below_multi``.  Each fine
+    level is then polished from its coarse partner instead of a bisection
+    bracket (``_levels`` with seeds): the two differ by the O(dx^2)
+    discretization error, far less than the spacing of levels of one
+    parity, and inverse iteration converges from any shift nearer its level
+    than any other (the nested iteration of multigrid).  The fine set is
+    certified by a Sturm count of the window and by its levels being
+    distinct.  Should certification or inverse iteration fail, as it can
+    on grids too coarse for the seeds to be close, that operator's fine
+    levels are bisected and polished as in ``eigenvalues_below_multi``.
+    """
     _check_grid_pair(grid_fine, grid_coarse)
     ops_f = [discretize(p, h, grid_fine, e_max=E) for (p, h, E) in entries]
     ops_c = [discretize(p, h, grid_coarse, e_max=E) for (p, h, E) in entries]
-    Es = [E for (_, _, E) in entries]
-    spec_f = eigenvalues_below_multi(ops_f, Es)
+    Es = [float(E) for (_, _, E) in entries]
     spec_c = eigenvalues_below_multi(ops_c, Es)
-    return [_richardson_combine(f, c) for f, c in zip(spec_f, spec_c)]
+    results = []
+    for op, E, coarse in zip(ops_f, Es, spec_c):
+        try:
+            fine = _levels(op, E, seeds=coarse.eigenvalues + coarse.eigenvalues_lo)
+        except ConvergenceError:
+            fine = _levels(op, E)
+        results.append(_richardson_combine(fine, coarse))
+    return results
 
 
 def refine(p: PotentialSpec, h: float, E: float, grid_fine: Grid,
@@ -467,6 +529,8 @@ def refine(p: PotentialSpec, h: float, E: float, grid_fine: Grid,
     """Richardson-extrapolated eigenvalues (4 fine - coarse)/3 below E.
 
     The returned error_estimate per eigenvalue is |fine - coarse| / 3.
+    The fine levels are polished from the coarse ones, with bisection as
+    the fallback; see ``refine_multi``.
     """
     return refine_multi([(p, h, E)], grid_fine, grid_coarse)[0]
 

@@ -121,8 +121,9 @@ class WeberSolution:
     def derivative(self, x):
         return self.dense.derivative(x)
 
-    def to_csv_rows(self):
-        for x, w, wp in zip(self.xs, self.W, self.Wp):
+    def to_csv_rows(self, step: int = 1):
+        """One row per ``step``-th sample, the first included."""
+        for x, w, wp in zip(self.xs[::step], self.W[::step], self.Wp[::step]):
             yield {"x": float(x), "W": float(w), "Wp": float(wp)}
 
 

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specpair import _dd
 
@@ -67,3 +69,19 @@ def test_rayleigh_correction_is_exact_to_eps_squared(with_extra):
     exact = sum(a * b for a, b in zip(exact_r, uf)) / sum(x * x for x in uf)
     norm_t = float(np.max(diag)) + 2.0 * abs(off)
     assert abs(Fraction(corr) - exact) <= 16.0 * EPS * EPS * norm_t
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 9), seed=st.integers(0, 2**32 - 1),
+       s=st.sampled_from([1.0, 1.0e3, 5.0e5, 1.0e8]), with_extra=st.booleans())
+def test_tridiag_residual_is_within_an_ulp_of_exact(n, seed, s, with_extra):
+    rng = np.random.default_rng(seed)
+    diag = 2.0 * s + rng.uniform(-4.0, 4.0, n)
+    u = rng.standard_normal(n)
+    lam_hi, lam_lo = float(rng.uniform(0.0, 4.0 * s)), float(rng.uniform(-1.0, 1.0)) * EPS
+    extra, scale = (rng.uniform(0.0, 1.0, n), 1.0e-5) if with_extra else (None, 1.0)
+    r_hi, r_lo = _dd.tridiag_residual(diag, -s, u, lam_hi, lam_lo, extra, scale)
+    exact = _exact_residual(diag, -s, u, lam_hi, lam_lo, extra, scale)
+    for i in range(n):
+        err = abs(float(Fraction(r_hi[i]) + Fraction(r_lo[i]) - exact[i]))
+        assert err <= math.ulp(float(exact[i])), (i, err)

@@ -372,3 +372,103 @@ def test_extraction_properties(t, eps):
     sm = eigenvalues_below(discretize(p0.reflected(), 1.0, g, e_max=8.0), 8.0)
     assert len(s0) == len(sm)
     assert float(np.max(np.abs(s0.gaps_to(sm)))) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# fine grids polished from coarse-grid seeds
+# ---------------------------------------------------------------------------
+
+def _seeds(spec):
+    return spec.eigenvalues + spec.eigenvalues_lo
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.floats(0.0, 0.2), eps=st.floats(0.0, 0.2), reflect=st.booleans(),
+       h=st.sampled_from([1.0, 0.5, 0.25]), half=st.integers(512, 2048),
+       k=st.integers(1, 6))
+def test_seeded_levels_match_bisection(t, eps, reflect, h, half, k):
+    p = PotentialSpec(t=t, eps=eps, reflect_beta=reflect)
+    gf, gc = grid_pair(8.0, 2 * half)
+    # a window edge midway between two coarse levels holds the same levels
+    # on both grids
+    lam_c = _seeds(eigenvalues_below(discretize(p, h, gc), (2 * k + 4) * h))
+    E = 0.5 * (lam_c[k - 1] + lam_c[k])
+    coarse = eigenvalues_below(discretize(p, h, gc), E)
+    T = discretize(p, h, gf)
+    seeded = eigensolve._levels(T, E, seeds=_seeds(coarse))
+    bisected = eigenvalues_below(T, E)
+    assert len(seeded) == len(bisected) == k
+    np.testing.assert_array_equal(seeded.eigenvalues, bisected.eigenvalues)
+    np.testing.assert_array_equal(seeded.error_estimate, bisected.error_estimate)
+    width = eigensolve.BRACKET_REL * max(1.0, E)   # E lies below the Gershgorin top
+    assert np.max(np.abs(seeded.eigenvalues_lo - bisected.eigenvalues_lo)) <= 8 * EPS * width
+
+
+@pytest.mark.parametrize("p", [default_pair()[0], harmonic()])
+@pytest.mark.parametrize("edit", ["drop", "duplicate"])
+def test_seeds_missing_or_repeating_a_level_raise(p, edit):
+    gf, gc = grid_pair(8.0, 2048)
+    seeds = _seeds(eigenvalues_below(discretize(p, 1.0, gc), 10.0))
+    assert seeds.size == 5
+    if edit == "drop":
+        seeds = np.delete(seeds, 2)
+    else:   # the count still matches, but level 2 is found twice and 3 not at all
+        seeds[3] = seeds[2]
+    with pytest.raises(ConvergenceError):
+        eigensolve._levels(discretize(p, 1.0, gf), 10.0, seeds=seeds)
+
+
+def test_refine_falls_back_to_bisection_when_seeds_fail():
+    # on this coarse pair the seeded polish runs out of inverse iteration steps
+    p = PotentialSpec(t=0.16263274783891218, eps=0.16402780832539135, reflect_beta=True)
+    h, E = 0.25, 2.8284595777386414
+    gf, gc = grid_pair(8.0, 256)
+    Tf, Tc = discretize(p, h, gf, e_max=E), discretize(p, h, gc, e_max=E)
+    coarse = eigenvalues_below(Tc, E)
+    with pytest.raises(ConvergenceError):
+        eigensolve._levels(Tf, E, seeds=_seeds(coarse))
+    got = refine(p, h, E, gf, gc)
+    want = eigensolve._richardson_combine(eigenvalues_below(Tf, E), coarse)
+    np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+    np.testing.assert_array_equal(got.eigenvalues_lo, want.eigenvalues_lo)
+    np.testing.assert_array_equal(got.error_estimate, want.error_estimate)
+
+
+@pytest.mark.parametrize("p, h, E", [(harmonic(), 0.16, 16.0),
+                                     (default_pair()[0], 0.5, 6.0)])
+def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
+    factorizations, solves, stebz = [], [], []
+    dgttrf, dgttrs = eigensolve.dgttrf, eigensolve.dgttrs
+    stebz_fn = eigensolve.eigvalsh_tridiagonal
+
+    def counted_dgttrf(dl, d, du):
+        factorizations.append(d.size)
+        return dgttrf(dl, d, du)
+
+    def counted_dgttrs(*args):
+        solves.append(None)
+        return dgttrs(*args)
+
+    def recorded_stebz(d, e, **kwargs):
+        lo, hi = kwargs["select_range"]
+        stebz.append((d.size, kwargs["tol"], hi - lo))
+        return stebz_fn(d, e, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "dgttrf", counted_dgttrf)
+    monkeypatch.setattr(eigensolve, "dgttrs", counted_dgttrs)
+    monkeypatch.setattr(eigensolve, "eigvalsh_tridiagonal", recorded_stebz)
+    gf, gc = grid_pair(8.0, 16384)
+    spec = refine(p, h, E, gf, gc)
+    Tf = discretize(p, h, gf)
+    n_f, n_c = count_below(Tf, E), count_below(discretize(p, h, gc), E)
+    assert len(spec) == n_f == n_c
+    assert len(factorizations) == n_f + n_c
+    # shifted by how far the previous level of its block moved, a seed needs
+    # no more solves than a bracket midpoint; unshifted seeds take 413 solves
+    # for the 100 levels of both grids at h = 0.16
+    assert len(solves) <= 4 * (n_f + n_c)
+    # no coarse operator or block has as many rows as a fine one
+    fine_rows = {B.n for B, _ in eigensolve._parity_blocks(Tf) or ((Tf, 0),)}
+    fine = [(tol, width) for n, tol, width in stebz if n in fine_rows]
+    assert len(fine) == len(fine_rows)
+    assert all(tol >= width for tol, width in fine)

@@ -177,3 +177,4 @@ def test_csv_rows(bundle):
     rows = list(w.to_csv_rows())
     assert set(rows[0]) == {"x", "W", "Wp"}
     assert len(rows) == w.xs.size
+    assert list(w.to_csv_rows(10)) == rows[::10]
