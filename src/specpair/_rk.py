@@ -37,8 +37,7 @@ _E6 = _B6 - 0.25
 _MAX_STEPS = 5_000_000
 
 
-def integrate(rhs, x0: float, y0, x1: float, eps_per_length: float = 1e-11,
-              max_step: float = 0.05):
+def integrate(rhs, x0: float, y0, x1: float, eps_per_length: float, max_step: float):
     """Integrate y' = rhs(x, y) from x0 to x1 (x0 < x1).
 
     ``y0`` is a tuple of floats.  Returns (xs, ys): accepted step abscissae

@@ -74,6 +74,8 @@ _SAFMIN = np.finfo(float).tiny
 
 LEVEL_CAP = 512    # most levels one window may hold
 BRACKET_REL = 1e-5  # bracket width per unit of max(1, min(E, top)) of a window
+INVERSE_SHIFT = 1e-12   # inverse iteration factors T - (lam + INVERSE_SHIFT)
+INVERSE_MAX_ITER = 8    # inverse iteration steps before ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -132,22 +134,19 @@ class TridiagonalOperator:
         return float(np.max(np.abs(self.diag))) + 2.0 * abs(self.off_value)
 
 
-def discretize(p: PotentialSpec, h: float, grid: Grid,
-               e_max: float | None = None) -> TridiagonalOperator:
+def discretize(p: PotentialSpec, h: float, grid: Grid) -> TridiagonalOperator:
     """Build the tridiagonal operator for potential ``p`` at parameter ``h``.
 
-    When ``e_max`` is given, requires V(L) >= e_max + 10 so that every
-    eigenfunction in the window is negligible at the artificial boundary.
+    The operator records V at the truncation points as ``v_boundary``; the
+    solvers check it against their window (V(L) >= E + 10, see ``_levels``),
+    so that every eigenfunction in the window is negligible at the
+    artificial boundary.
     """
     if not h > 0.0:
         raise PreconditionError(f"h must be > 0, got {h}")
     x = grid.nodes()
     v = potential_eval(p, x)
     vb = min(potential_eval(p, grid.L), potential_eval(p, -grid.L))
-    if e_max is not None and vb < e_max + 10.0:
-        raise GridMarginError(
-            f"V at the boundary is {vb:.3f} < E_max + 10 = {e_max + 10.0:.3f}; "
-            f"increase L")
     s = (h * h) / (grid.dx * grid.dx)
     diag = 2.0 * s + v
     off = -s
@@ -204,23 +203,22 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def _inverse_iteration(T: TridiagonalOperator, lam: float,
-                       shift_offset: float = 1e-12,
-                       max_iter: int = 8) -> tuple[np.ndarray, float]:
+def _inverse_iteration(T: TridiagonalOperator, lam: float) -> tuple[np.ndarray, float]:
     """Unit-norm eigenvector for the eigenvalue nearest ``lam``, and that eigenvalue.
 
-    T - sigma (sigma = lam + shift_offset) is LU-factored once (LAPACK
+    T - sigma (sigma = lam + INVERSE_SHIFT) is LU-factored once (LAPACK
     ``dgttrf``) and each step is one ``dgttrs`` solve w = (T - sigma)^-1 v.
     With ||v|| = 1 and x = w/||w||, min(||x - v||, ||x + v||)/||w|| bounds
     the residual ||(T - rho(x)) x|| (Parlett, ch. 4).  Once that bound
     reaches 8 eps ||T||_1 one more solve confirms the vector, as LAPACK
-    ``dstein`` does; ``max_iter`` steps without it raise ConvergenceError.
+    ``dstein`` does; ``INVERSE_MAX_ITER`` steps without it raise
+    ConvergenceError.
     The confirming solve also gives the eigenvalue: for an eigenvector x,
     x . (T - sigma)^-1 x = 1/(lam - sigma), so sigma + (x . y)/||w|| (y the
     returned vector) is accurate to the solve's backward error, ~eps ||T||,
     however far sigma sits from the level.
     """
-    sigma = lam + shift_offset
+    sigma = lam + INVERSE_SHIFT
     dl, d, du, du2, ipiv, info = dgttrf(T.offdiag, T.diag - sigma, T.offdiag)
     if info != 0:
         raise ConvergenceError(f"dgttrf of T - {sigma:.17g} failed with info = {info}")
@@ -234,7 +232,7 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float,
 
     floor = 8.0 * _EPS * T.norm1()
     v = _start_vector(T.n)
-    for _ in range(max_iter):
+    for _ in range(INVERSE_MAX_ITER):
         x, growth = solve(v)
         bound = min(np.linalg.norm(x - v), np.linalg.norm(x + v)) / growth
         if bound <= floor:
@@ -243,7 +241,7 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float,
         v = x
     raise ConvergenceError(
         f"inverse iteration at {sigma:.17g}: residual bound {bound:.3e} above "
-        f"{floor:.3e} after {max_iter} steps")
+        f"{floor:.3e} after {INVERSE_MAX_ITER} steps")
 
 
 def _polish_one(T: TridiagonalOperator, lam: float, block=None, parity: int = 0):
@@ -316,6 +314,8 @@ class Spectrum:
 
     def value(self, j: int) -> float:
         """The j-th eigenvalue (1-based), including the low-order part."""
+        if not 1 <= j <= len(self):
+            raise PreconditionError(f"level j = {j} is outside 1..{len(self)}")
         return float(self.eigenvalues[j - 1] + self.eigenvalues_lo[j - 1])
 
     def gaps_to(self, other: "Spectrum") -> np.ndarray:
@@ -369,7 +369,9 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     far its previous level moved from its seed, drops levels above E, and
     must find exactly as many as the Sturm count of the window, which one
     ``dstebz`` call of tolerance E - vl returns without bisecting.  A seed
-    too far from its level raises ``ConvergenceError``.
+    too far from its level raises ``ConvergenceError``.  This is the one
+    owner of the turning-point margin: unless ``check_margin`` is False, an
+    operator with V(L) < E + 10 raises ``GridMarginError``.
     """
     if check_margin and op.v_boundary < E + 10.0:
         raise GridMarginError(
@@ -508,10 +510,12 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
     distinct.  Should certification or inverse iteration fail, as it can
     on grids too coarse for the seeds to be close, that operator's fine
     levels are bisected and polished as in ``eigenvalues_below_multi``.
+    Each solve checks the turning-point margin (V(L) >= E + 10, else
+    ``GridMarginError``); both grids share L, so the coarse solve raises first.
     """
     _check_grid_pair(grid_fine, grid_coarse)
-    ops_f = [discretize(p, h, grid_fine, e_max=E) for (p, h, E) in entries]
-    ops_c = [discretize(p, h, grid_coarse, e_max=E) for (p, h, E) in entries]
+    ops_f = [discretize(p, h, grid_fine) for (p, h, _) in entries]
+    ops_c = [discretize(p, h, grid_coarse) for (p, h, _) in entries]
     Es = [float(E) for (_, _, E) in entries]
     spec_c = eigenvalues_below_multi(ops_c, Es)
     results = []

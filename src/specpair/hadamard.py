@@ -58,7 +58,9 @@ def _window_for_level(p: PotentialSpec, h: float, j: int) -> float:
 
 
 def solve_level(p: PotentialSpec, h: float, j: int, grid: Grid = _DEFAULT_GRID) -> Level:
-    """Level j of p at semiclassical parameter h on ``grid``, for the checks below."""
+    """Level j >= 1 of p at semiclassical parameter h on ``grid``, for the checks below."""
+    if j < 1:
+        raise PreconditionError(f"level index j must be >= 1, got {j}")
     T = discretize(p, h, grid)
     E = _window_for_level(p, h, j)
     spec = eigenvalues_below(T, E)
@@ -68,16 +70,11 @@ def solve_level(p: PotentialSpec, h: float, j: int, grid: Grid = _DEFAULT_GRID) 
     return Level(p=p, j=j, T=T, spec=spec, lam=lam, u=eigenvector(T, lam))
 
 
-def _bump_on_grid(beta: BumpSpec, grid: Grid, reflected: bool) -> np.ndarray:
-    x = grid.nodes()
-    return bump_eval(beta, -x if reflected else x)
-
-
-def variational_derivative(level: Level, beta: BumpSpec, reflected: bool = False) -> float:
-    """dx * sum beta(+-x_i) u_j(x_i)^2 with the solver's normalization."""
+def variational_derivative(level: Level, beta: BumpSpec) -> float:
+    """dx * sum beta(x_i) u_j(x_i)^2 with the solver's normalization."""
     grid = level.T.grid
     u = level.u
-    return float(grid.dx * np.dot(_bump_on_grid(beta, grid, reflected), u * u))
+    return float(grid.dx * np.dot(bump_eval(beta, grid.nodes()), u * u))
 
 
 def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
@@ -104,13 +101,12 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
     return (ph - mh) + (pl - ml)
 
 
-def fd_oracle(level: Level, beta: BumpSpec, reflected: bool = False,
-              eps_fd: float = 1e-5) -> float:
+def fd_oracle(level: Level, beta: BumpSpec, eps_fd: float = 1e-5) -> float:
     """(lam_j(+eps_fd) - lam_j(-eps_fd)) / (2 eps_fd) on the level's grid."""
     j, lams = level.j, level.spec.eigenvalues
     gap_lo = lams[j - 1] - lams[j - 2] if j >= 2 else np.inf
     gap_hi = lams[j] - lams[j - 1] if j < len(level.spec) else np.inf
-    bvals = _bump_on_grid(beta, level.T.grid, reflected)
+    bvals = bump_eval(beta, level.T.grid.nodes())
     # ordering must not change across the +-eps_fd window
     shift_bound = eps_fd * float(np.max(np.abs(bvals)))
     if shift_bound > 0.4 * min(gap_lo, gap_hi):
@@ -135,11 +131,10 @@ class VariationResult:
                 "discrepancy": self.discrepancy}
 
 
-def variation_check(level: Level, beta: BumpSpec, reflected: bool = False,
-                    eps_fd: float = 1e-5) -> VariationResult:
+def variation_check(level: Level, beta: BumpSpec, eps_fd: float = 1e-5) -> VariationResult:
     """Formula and oracle side by side on one solved level."""
-    formula = variational_derivative(level, beta, reflected)
-    oracle = fd_oracle(level, beta, reflected, eps_fd)
+    formula = variational_derivative(level, beta)
+    oracle = fd_oracle(level, beta, eps_fd)
     return VariationResult(j=level.j, formula_value=formula, oracle_value=oracle,
                            eps_fd=eps_fd, discrepancy=abs(formula - oracle))
 

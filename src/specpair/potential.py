@@ -36,6 +36,7 @@ __all__ = [
 # support boxes the bumps must stay inside
 ALPHA_WINDOW = (-3.0, -2.0)
 BETA_WINDOW = (3.0, 4.0)
+SAMPLE_STEP = 1e-3   # spacing of validate's sign scan of V'
 
 
 class ValidationError(ValueError):
@@ -238,13 +239,13 @@ class ValidationReport:
         return self.ok
 
 
-def validate(p: PotentialSpec, sample_step: float = 1e-3) -> ValidationReport:
+def validate(p: PotentialSpec) -> ValidationReport:
     """Check support constraints and 'no critical point away from 0'.
 
     Two independent checks back the critical-point claim: the sufficient
     bounds t*max|alpha'| < 4 and eps*max|beta'| < 6 (|2x| >= 4 on the alpha
     box and >= 6 on the beta box), and a dense sign scan of V' at spacing
-    ``sample_step``.
+    ``SAMPLE_STEP``.
     """
     failures: list[str] = []
 
@@ -267,7 +268,7 @@ def validate(p: PotentialSpec, sample_step: float = 1e-3) -> ValidationReport:
             f"eps*max|beta'| = {db:.6g} >= 6: critical point possible inside beta support")
 
     # dense scan: V' may change sign only at x = 0
-    x = np.arange(-4.5, 4.5 + sample_step / 2, sample_step)
+    x = np.arange(-4.5, 4.5 + SAMPLE_STEP / 2, SAMPLE_STEP)
     dv = potential_derivative(p, x)
     signs = np.sign(dv)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -290,9 +291,9 @@ def validate(p: PotentialSpec, sample_step: float = 1e-3) -> ValidationReport:
     )
 
 
-def default_pair(t: float = 0.05, eps: float = 0.05) -> tuple[PotentialSpec, PotentialSpec]:
-    """The (plus, minus) pair at given bump strengths; validated."""
-    plus = PotentialSpec(t=t, eps=eps, reflect_beta=False)
+def default_pair() -> tuple[PotentialSpec, PotentialSpec]:
+    """The (plus, minus) pair at the default bump strengths t = eps = 0.05; validated."""
+    plus = PotentialSpec()
     minus = plus.reflected()
     rep = validate(plus)
     if not rep.ok:

@@ -22,17 +22,14 @@ from .potential import PotentialSpec, _mollifier, potential_eval
 
 __all__ = [
     "TestFunction",
-    "DensityResult",
     "GapEntry",
     "GapFit",
     "GapCurve",
     "WeylFit",
     "spectral_density",
-    "spectral_density_detail",
     "weyl_term",
     "weyl_consistency",
     "isospectral_distance",
-    "isospectral_distance_detail",
     "gap_sweep",
     "fit_gap_decay",
     "superpoly_decay_table",
@@ -40,6 +37,7 @@ __all__ = [
 
 TAIL_TOL = 1e-14      # certified bound on the density's tail beyond its window
 WINDOW_CAP = 60.0     # highest window a density may need for that bound
+SUPERPOLY_POWERS = (2, 4, 6, 8)   # the N of the D(h)/h^N monotonicity table
 
 
 @dataclass(frozen=True)
@@ -101,42 +99,27 @@ class TestFunction:
         return self.amplitude * math.exp(-s * E) / (1.0 - math.exp(-2.0 * s * h))
 
 
-@dataclass
-class DensityResult:
-    value: float
-    tail_bound: float
-    E_window: float
-    n_eigenvalues: int
-    h: float
+def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
+    """Tr f = sum of f over the spectrum, to within ``TAIL_TOL``.
 
-
-def _auto_grid_pair(E: float) -> tuple[Grid, Grid]:
-    L = max(8.0, math.sqrt(E) + 4.0)
-    intervals = 8192 if L <= 9.0 else 16384
-    return grid_pair(L, intervals)
-
-
-def spectral_density_detail(p: PotentialSpec, h: float, f: TestFunction,
-                            grids: tuple[Grid, Grid] | None = None) -> DensityResult:
-    """Tr f over the spectrum: windowed sum plus certified tail bound."""
+    The sum runs over the Richardson-refined levels below the window
+    E = ``f.window_for_tail(h)``, beyond which the rest of the sum is
+    certified below ``TAIL_TOL``; a window above ``WINDOW_CAP`` raises
+    ``WindowCapError``.  The grid pair is chosen here: L = max(8, sqrt(E) + 4)
+    makes V(L) >= L^2 exceed E + 10, and the fine grid has 8192 intervals
+    (16384 once L > 9).
+    """
     E = f.window_for_tail(h)
     if E > WINDOW_CAP:
         raise WindowCapError(
             f"tail below {TAIL_TOL} needs window E = {E:.1f} > cap {WINDOW_CAP}")
     if f.amplitude == 0.0:
-        return DensityResult(value=0.0, tail_bound=0.0, E_window=E,
-                             n_eigenvalues=0, h=h)
-    gf, gc = grids if grids is not None else _auto_grid_pair(E)
+        return 0.0
+    L = max(8.0, math.sqrt(E) + 4.0)
+    gf, gc = grid_pair(L, 8192 if L <= 9.0 else 16384)
     spec = refine_multi([(p, h, E)], gf, gc)[0]
     lam = spec.eigenvalues + spec.eigenvalues_lo
-    value = float(np.sum(f(lam)))
-    return DensityResult(value=value, tail_bound=f.tail_bound(E, h), E_window=E,
-                         n_eigenvalues=len(spec), h=h)
-
-
-def spectral_density(p: PotentialSpec, h: float, f: TestFunction,
-                     grids: tuple[Grid, Grid] | None = None) -> float:
-    return spectral_density_detail(p, h, f, grids).value
+    return float(np.sum(f(lam)))
 
 
 def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> float:
@@ -209,13 +192,12 @@ class WeylFit:
             yield {"h": h, "nu": nu, "two_pi_h_nu": 2.0 * math.pi * h * nu}
 
 
-def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None,
-                     grids: tuple[Grid, Grid] | None = None) -> WeylFit:
+def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None) -> WeylFit:
     """Fit (2 pi h) nu_h(f) = a0 + a1 h^2 + a2 h^4 over the h sample.
 
     ``nu_values`` may supply precomputed densities (e.g. closed forms in
-    tests); otherwise they are computed.  The h sample must contain at
-    least 6 points inside [0.02, 0.5].
+    tests), one per h; otherwise they are computed.  The h sample must
+    contain at least 6 points inside [0.02, 0.5].
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 6:
@@ -223,8 +205,10 @@ def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None,
     if min(hs) < 0.02 or max(hs) > 0.5:
         raise PreconditionError("h sample must lie inside [0.02, 0.5]")
     if nu_values is None:
-        nu_values = [spectral_density(p, h, f, grids=grids) for h in hs]
+        nu_values = [spectral_density(p, h, f) for h in hs]
     nus = [float(v) for v in nu_values]
+    if len(nus) != len(hs):
+        raise PreconditionError(f"got {len(nus)} nu_values for {len(hs)} h values")
     y = np.array([2.0 * math.pi * h * nu for h, nu in zip(hs, nus)])
     H = np.array(hs)
     A = np.stack([np.ones_like(H), H ** 2, H ** 4], axis=1)
@@ -256,19 +240,21 @@ class GapEntry:
                 "n_levels": self.n_levels, "usable": int(self.usable)}
 
 
-def isospectral_distance_detail(h: float, E: float, p_plus: PotentialSpec,
-                                p_minus: PotentialSpec,
-                                grids: tuple[Grid, Grid]) -> GapEntry:
-    """Max per-index eigenvalue distance below E on a shared grid pair.
+def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
+                         p_minus: PotentialSpec, grids: tuple[Grid, Grid]) -> GapEntry:
+    """Max per-index eigenvalue distance D below E on a shared grid pair.
 
+    D is the largest |Richardson-refined gap| over the paired levels, and
+    its error estimate is |fine - coarse| / 3 of that gap plus rounding.
     Index pairing is positional (both spectra are simple and ordered); a
     count mismatch at the window edge is resolved by the common count.  A
-    window with no common level is an error, never a zero distance.
+    window with no common level is an error, never a zero distance, and
+    so is a grid whose V(L) is below E + 10 (``GridMarginError``).
     """
     gf, gc = grids
     pair = (p_plus, p_minus)
-    sf = eigenvalues_below_multi([discretize(p, h, gf, e_max=E) for p in pair], [E, E])
-    sc = eigenvalues_below_multi([discretize(p, h, gc, e_max=E) for p in pair], [E, E])
+    sf = eigenvalues_below_multi([discretize(p, h, gf) for p in pair], [E, E])
+    sc = eigenvalues_below_multi([discretize(p, h, gc) for p in pair], [E, E])
     g_f = sf[0].gaps_to(sf[1])
     g_c = sc[0].gaps_to(sc[1])
     m = min(g_f.size, g_c.size)
@@ -279,11 +265,6 @@ def isospectral_distance_detail(h: float, E: float, p_plus: PotentialSpec,
     j = int(np.argmax(np.abs(refined)))
     est = abs(g_f[j] - g_c[j]) / 3.0 + 1e-15 * max(1.0, float(sf[0].eigenvalues[j]))
     return GapEntry(h=h, E=E, D=float(abs(refined[j])), error_estimate=est, n_levels=m)
-
-
-def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
-                         p_minus: PotentialSpec, grids: tuple[Grid, Grid]) -> float:
-    return isospectral_distance_detail(h, E, p_plus, p_minus, grids).D
 
 
 @dataclass
@@ -300,20 +281,16 @@ class GapFit:
         return self.r_squared < 0.98 or self.power_r_squared > self.r_squared
 
 
-def fit_gap_decay(entries) -> GapFit:
+def fit_gap_decay(pairs) -> GapFit:
     """Least squares of log D against 1/h: D ~ C exp(-c/h).
 
-    ``entries`` is an iterable of GapEntry or (h, D) pairs, all above the
-    noise floor; at least 5 are required.
+    ``pairs`` is an iterable of (h, D), all above the noise floor; at
+    least 5 are required.
     """
     hs, Ds = [], []
-    for e in entries:
-        if isinstance(e, GapEntry):
-            hs.append(e.h)
-            Ds.append(e.D)
-        else:
-            hs.append(float(e[0]))
-            Ds.append(float(e[1]))
+    for h, D in pairs:
+        hs.append(float(h))
+        Ds.append(float(D))
     if len(hs) < 5:
         raise PreconditionError(f"need at least 5 usable entries, got {len(hs)}")
     if any(d <= 0.0 for d in Ds):
@@ -343,7 +320,6 @@ class GapCurve:
     entries: list[GapEntry]
     noise_floor: float
     fit: GapFit | None = None
-    window_mode: str = "ground"
 
     def usable_entries(self) -> list[GapEntry]:
         return [e for e in self.entries if e.usable]
@@ -354,27 +330,27 @@ class GapCurve:
 
 
 def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
-              window: str | float = "ground",
-              grids: tuple[Grid, Grid] | None = None) -> GapCurve:
-    """Spectral distance per h, noise floor, and the exponential-decay fit.
+              grids: tuple[Grid, Grid], window: str | float = "ground") -> GapCurve:
+    """Spectral distance per h on one grid pair, noise floor, and the decay fit.
 
-    window='ground' tracks exactly the ground level per h (E = 2h), which
-    keeps one fixed eigenvalue branch under the sup and avoids spurious
-    jumps when a new level enters a fixed window; a numeric window is used
-    verbatim for every h.  An empty h_list or a window without a common level
-    (in ground mode: without exactly one) raises ``PreconditionError``.
+    Each h gives one ``isospectral_distance`` entry on ``grids`` (fine,
+    coarse).  window='ground' tracks exactly the ground level per h
+    (E = 2h), which keeps one fixed eigenvalue branch under the sup and
+    avoids spurious jumps when a new level enters a fixed window; a numeric
+    window is used verbatim for every h.  The noise floor is
+    max(1e-12, 10 * the largest error estimate); entries above it are
+    usable, and five or more usable entries are fitted by ``fit_gap_decay``.
+    An empty h_list or a window without a common level (in ground mode:
+    without exactly one) raises ``PreconditionError``.
     """
     hs = [float(h) for h in h_list]
     if not hs:
         raise PreconditionError("h_list is empty")
     Es = [2.0 * h if window == "ground" else float(window) for h in hs]
-    if grids is None:
-        L = max(8.0, math.sqrt(max(Es)) + 4.0)
-        grids = grid_pair(L, 4096)
 
     entries = []
     for h, E in zip(hs, Es):
-        e = isospectral_distance_detail(h, E, p_plus, p_minus, grids)
+        e = isospectral_distance(h, E, p_plus, p_minus, grids)
         if window == "ground" and e.n_levels != 1:
             raise PreconditionError(
                 f"ground window E = {E} at h = {h} holds {e.n_levels} levels, not 1")
@@ -385,16 +361,18 @@ def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
         e.usable = e.D > floor
 
     usable = [e for e in entries if e.usable]
-    fit = fit_gap_decay(usable) if len(usable) >= 5 else None
-    mode = "ground" if window == "ground" else f"fixed E = {window}"
-    return GapCurve(entries=entries, noise_floor=floor, fit=fit, window_mode=mode)
+    fit = fit_gap_decay([(e.h, e.D) for e in usable]) if len(usable) >= 5 else None
+    return GapCurve(entries=entries, noise_floor=floor, fit=fit)
 
 
-def superpoly_decay_table(curve: GapCurve, powers=(2, 4, 6, 8)) -> dict[int, dict]:
-    """Check D(h)/h^N decreases as h decreases, over the usable entries."""
+def superpoly_decay_table(curve: GapCurve) -> dict[int, dict]:
+    """Check D(h)/h^N decreases as h decreases, over the usable entries.
+
+    One row per N in ``SUPERPOLY_POWERS``.
+    """
     use = sorted(curve.usable_entries(), key=lambda e: -e.h)
     out = {}
-    for N in powers:
+    for N in SUPERPOLY_POWERS:
         vals = [e.D / e.h ** N for e in use]
         drops = [vals[i + 1] < vals[i] for i in range(len(vals) - 1)]
         worst = min((vals[i] / vals[i + 1] for i in range(len(vals) - 1)),

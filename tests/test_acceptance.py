@@ -68,7 +68,7 @@ def test_criterion_01_harmonic_exactness():
 
 def test_criterion_02_exact_reflection_isospectrality():
     p = PotentialSpec(t=0.0, eps=0.05)
-    d = isospectral_distance(1.0, 20.0, p, p.reflected(), grid_pair(8.0, 4096))
+    d = isospectral_distance(1.0, 20.0, p, p.reflected(), grid_pair(8.0, 4096)).D
     report(2, "mirror pair distance at t = 0", d <= 1e-11,
            f"distance = {d:.2e} (tol 1e-11)")
 

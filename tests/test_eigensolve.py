@@ -56,10 +56,14 @@ def test_discretize_reflected_reverses_diagonal():
     assert np.array_equal(Tp.diag, Tm.diag[::-1])
 
 
-def test_discretize_margin_guard():
-    g = Grid(4.0, 511)
-    with pytest.raises(GridMarginError):
-        discretize(harmonic(), 1.0, g, e_max=10.0)
+def test_margin_guard_in_eigenvalues_below_and_refine():
+    # V(L) = 16 on L = 4 leaves less than 10 above the window E = 10
+    T = discretize(harmonic(), 1.0, Grid(4.0, 511))
+    with pytest.raises(GridMarginError, match="increase L"):
+        eigenvalues_below(T, 10.0)
+    with pytest.raises(GridMarginError, match="increase L"):
+        refine(harmonic(), 1.0, 10.0, *grid_pair(4.0, 512))
+    assert len(eigenvalues_below(T, 10.0, check_margin=False)) == 5
 
 
 def test_count_below_harmonic():
@@ -92,7 +96,7 @@ def test_tiny_instance_charpoly_oracle():
 
 def test_harmonic_window_h1():
     g = Grid(8.0, 4095)
-    T = discretize(harmonic(), 1.0, g, e_max=10.0)
+    T = discretize(harmonic(), 1.0, g)
     spec = eigenvalues_below(T, 10.0)
     lam = spec.eigenvalues + spec.eigenvalues_lo
     np.testing.assert_allclose(lam, [1, 3, 5, 7, 9], atol=1e-4, rtol=0)
@@ -104,7 +108,7 @@ def test_harmonic_window_h1():
 
 def test_harmonic_window_small_h():
     g = Grid(8.0, 4095)
-    T = discretize(harmonic(), 0.1, g, e_max=1.0)
+    T = discretize(harmonic(), 0.1, g)
     spec = eigenvalues_below(T, 1.0)
     np.testing.assert_allclose(spec.eigenvalues + spec.eigenvalues_lo,
                                np.arange(0.1, 1.0, 0.2), atol=1e-3, rtol=0)
@@ -291,7 +295,7 @@ def test_refine_grid_preconditions():
 
 def test_eigenvector_ground_state_gaussian():
     g = Grid(8.0, 4095)
-    T = discretize(harmonic(), 1.0, g, e_max=4.0)
+    T = discretize(harmonic(), 1.0, g)
     lam1 = float(eigenvalues_below(T, 2.0).eigenvalues[0])
     u = eigenvector(T, lam1)
     # u(0)^2 = 1/sqrt(pi) for the normalized Gaussian ground state
@@ -304,7 +308,7 @@ def test_eigenvector_ground_state_gaussian():
 
 def test_eigenvector_first_excited_odd():
     g = Grid(8.0, 4095)
-    T = discretize(harmonic(), 1.0, g, e_max=6.0)
+    T = discretize(harmonic(), 1.0, g)
     spec = eigenvalues_below(T, 4.0)
     u = eigenvector(T, float(spec.eigenvalues[1]))
     assert abs(u[2047]) <= 1e-8
@@ -313,7 +317,7 @@ def test_eigenvector_first_excited_odd():
 def test_eigenvector_perturbed_ground_positive():
     g = Grid(8.0, 4095)
     p, _ = default_pair()
-    T = discretize(p, 1.0, g, e_max=4.0)
+    T = discretize(p, 1.0, g)
     lam1 = float(eigenvalues_below(T, 2.0).eigenvalues[0])
     u = eigenvector(T, lam1)
     assert np.all(u > 0.0)
@@ -350,6 +354,16 @@ def test_ground_state_at_h_bare():
     assert abs(spec.value(1) - 0.85) <= max(float(spec.error_estimate[0]), 1e-11)
 
 
+@pytest.mark.parametrize("j", [0, -1, 4])
+def test_spectrum_value_outside_the_window_is_an_error(j):
+    # value(0) used to return the top level, value(4) a bare IndexError
+    spec = refine(harmonic(), 1.0, 6.0, *grid_pair(8.0, 1024))
+    assert len(spec) == 3
+    assert spec.value(3) == pytest.approx(5.0, abs=1e-6)
+    with pytest.raises(PreconditionError, match=rf"j = {j} is outside 1\.\.3"):
+        spec.value(j)
+
+
 def test_spectrum_csv_rows():
     g = Grid(8.0, 1023)
     spec = eigenvalues_below(discretize(harmonic(), 1.0, g), 4.0)
@@ -363,13 +377,13 @@ def test_spectrum_csv_rows():
 def test_extraction_properties(t, eps):
     g = Grid(8.0, 511)
     p = PotentialSpec(t=t, eps=eps)
-    T = discretize(p, 1.0, g, e_max=8.0)
+    T = discretize(p, 1.0, g)
     spec = eigenvalues_below(T, 8.0)
     assert count_below(T, 8.0) == len(spec)
     assert np.all(np.diff(spec.eigenvalues + spec.eigenvalues_lo) > 0.0)
     p0 = PotentialSpec(t=0.0, eps=eps)
-    s0 = eigenvalues_below(discretize(p0, 1.0, g, e_max=8.0), 8.0)
-    sm = eigenvalues_below(discretize(p0.reflected(), 1.0, g, e_max=8.0), 8.0)
+    s0 = eigenvalues_below(discretize(p0, 1.0, g), 8.0)
+    sm = eigenvalues_below(discretize(p0.reflected(), 1.0, g), 8.0)
     assert len(s0) == len(sm)
     assert float(np.max(np.abs(s0.gaps_to(sm)))) <= 1e-11
 
@@ -423,7 +437,7 @@ def test_refine_falls_back_to_bisection_when_seeds_fail():
     p = PotentialSpec(t=0.16263274783891218, eps=0.16402780832539135, reflect_beta=True)
     h, E = 0.25, 2.8284595777386414
     gf, gc = grid_pair(8.0, 256)
-    Tf, Tc = discretize(p, h, gf, e_max=E), discretize(p, h, gc, e_max=E)
+    Tf, Tc = discretize(p, h, gf), discretize(p, h, gc)
     coarse = eigenvalues_below(Tc, E)
     with pytest.raises(ConvergenceError):
         eigensolve._levels(Tf, E, seeds=_seeds(coarse))

@@ -47,9 +47,20 @@ def test_harmonic_ground_state_closed_form(ground):
 
 
 def test_reflected_direction_on_symmetric_base(ground):
-    a = variational_derivative(ground, TAIL, reflected=False)
-    b = variational_derivative(ground, TAIL, reflected=True)
-    assert a == pytest.approx(b, abs=1e-12 * max(1.0, a))
+    # the witness's d_minus is the derivative toward beta(-x), the bump
+    # mirrored to (-4, -3); on a symmetric base it equals d_plus
+    w = asymmetry_witness(ground, TAIL)
+    mirror = BumpSpec(center=-3.5, half_width=0.5, amplitude=1.0)
+    assert w.d_plus == variational_derivative(ground, TAIL)
+    assert w.d_minus == pytest.approx(variational_derivative(ground, mirror), rel=1e-12)
+    assert w.d_minus == pytest.approx(w.d_plus, abs=1e-12 * max(1.0, w.d_plus))
+
+
+@pytest.mark.parametrize("j", [0, -1])
+def test_level_index_below_one_is_an_error(j):
+    # j = 0 used to solve the ground level and label it j = 0
+    with pytest.raises(PreconditionError, match="j must be >= 1"):
+        solve_level(harmonic(), 1.0, j, GRID)
 
 
 def test_formula_matches_oracle_tail_direction(ground):

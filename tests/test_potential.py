@@ -153,7 +153,8 @@ def test_non_finite_strength_rejected(field, value):
 
 
 def test_json_round_trip():
-    p, _ = default_pair(t=0.03, eps=0.08)
+    p = PotentialSpec(t=0.03, eps=0.08)
+    assert validate(p).ok
     q = PotentialSpec.from_json(p.to_json())
     assert q == p
     d = json.loads(p.to_json())

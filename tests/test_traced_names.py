@@ -1,7 +1,9 @@
-"""The benchmark's per-layer metrics must name live public functions.
+"""The benchmark's names and tables must match the program.
 
 ``perfbench`` times and counts calls by ``module.function`` name; a renamed
-or removed function would silently read as zero time, not as an error.
+or removed function would silently read as zero time, not as an error.  Its
+workloads also check every table against ``perfbench/reference``, so a
+table that drifts off its reference fails here, not first in a benchmark run.
 """
 
 import importlib
@@ -9,6 +11,8 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+from specpair import cli
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -34,3 +38,12 @@ def test_traced_names_are_public_functions_of_their_module():
                 or obj.__module__ != mod.__name__:
             missing.append(name)
     assert missing == []
+
+
+def test_benchmark_tables_match_their_reference(tmp_path):
+    wl = _workloads()
+    reference = wl.load_reference(0)
+    cfg = wl.config_for(0, 0)
+    for exp in wl.ALL_EXPERIMENTS:
+        rep = cli.run(cfg, exp, out_dir=tmp_path)
+        assert wl.compare_tables(wl.canonical_tables(rep.tables), reference[exp]) == [], exp

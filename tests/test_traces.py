@@ -14,9 +14,7 @@ from specpair.traces import (
     fit_gap_decay,
     gap_sweep,
     isospectral_distance,
-    isospectral_distance_detail,
     spectral_density,
-    spectral_density_detail,
     superpoly_decay_table,
     weyl_consistency,
     weyl_term,
@@ -78,10 +76,9 @@ def test_density_zero_function():
 
 def test_density_harmonic_closed_form():
     # sum of exp(-(2j-1) h) is the geometric series 1/(2 sinh h)
-    d = spectral_density_detail(harmonic(), 1.0, F_EXP)
-    assert d.value == pytest.approx(1.0 / (2.0 * math.sinh(1.0)), abs=1e-9)
-    assert d.value == pytest.approx(0.42545906, abs=1e-7)
-    assert d.tail_bound <= 1e-14
+    d = spectral_density(harmonic(), 1.0, F_EXP)
+    assert d == pytest.approx(1.0 / (2.0 * math.sinh(1.0)), abs=1e-9)
+    assert d == pytest.approx(0.42545906, abs=1e-7)
 
 
 def test_density_window_cap():
@@ -168,18 +165,27 @@ def test_weyl_consistency_preconditions():
         weyl_consistency(harmonic(), F_EXP, [0.9, 0.5, 0.4, 0.3, 0.25, 0.2])
 
 
+@pytest.mark.parametrize("n_values", [7, 5])
+def test_weyl_consistency_needs_one_density_per_h(n_values):
+    # 7 values for 6 h were accepted silently; 5 raised a bare LinAlgError
+    hs = [0.5, 0.4, 0.32, 0.25, 0.2, 0.16]
+    nus = [1.0 / (2.0 * math.sinh(h)) for h in hs + [0.125]][:n_values]
+    with pytest.raises(PreconditionError, match=f"{n_values} nu_values for 6 h values"):
+        weyl_consistency(harmonic(), F_EXP, hs, nu_values=nus)
+
+
 def test_isospectral_distance_mirror_pair():
     p = PotentialSpec(t=0.0, eps=0.05)
     grids = grid_pair(8.0, 4096)
     d = isospectral_distance(1.0, 20.0, p, p.reflected(), grids)
-    assert d <= 1e-12
+    assert d.D <= 1e-12
 
 
 def test_isospectral_distance_swap_symmetric():
     plus, minus = default_pair()
     grids = grid_pair(8.0, 2048)
-    d1 = isospectral_distance_detail(1.0, 10.0, plus, minus, grids)
-    d2 = isospectral_distance_detail(1.0, 10.0, minus, plus, grids)
+    d1 = isospectral_distance(1.0, 10.0, plus, minus, grids)
+    d2 = isospectral_distance(1.0, 10.0, minus, plus, grids)
     assert d1.D == d2.D
     assert d1.n_levels == d2.n_levels == 5
 
@@ -187,8 +193,8 @@ def test_isospectral_distance_swap_symmetric():
 def test_isospectral_distance_decreases_with_h():
     plus, minus = default_pair()
     grids = grid_pair(8.0, 4096)
-    d1 = isospectral_distance(1.0, 10.0, plus, minus, grids)
-    d2 = isospectral_distance(0.25, 10.0, plus, minus, grids)
+    d1 = isospectral_distance(1.0, 10.0, plus, minus, grids).D
+    d2 = isospectral_distance(0.25, 10.0, plus, minus, grids).D
     assert d1 > 0.0
     assert d2 < d1
 

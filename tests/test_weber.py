@@ -114,7 +114,7 @@ def test_grid_eigenvector_consistency(bundle):
     # the matrix eigenvector and W solve the same equation left of the bump
     lam1, _, w = bundle
     g = Grid(8.0, 8191)
-    T = discretize(BASE, 1.0, g, e_max=3.0)
+    T = discretize(BASE, 1.0, g)
     lam_g = float(eigenvalues_below(T, 2.0).eigenvalues[0])
     u = eigenvector(T, lam_g)
     x = g.nodes()
