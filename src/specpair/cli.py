@@ -13,7 +13,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +23,8 @@ from .eigensolve import Grid, discretize, eigenvalues_below, grid_pair, refine
 from .errors import PreconditionError, check_keys, check_real
 from .potential import BumpSpec, PotentialSpec, harmonic, validate
 
-EXPERIMENTS = ("spectrum", "gap-sweep", "hadamard-check", "weber",
-               "pruefer-compare", "trace", "validate")
-
 DEFAULTS: dict = {
-    "potential": {
-        "t": 0.05,
-        "eps": 0.05,
-        "reflect_beta": False,
-        "alpha": {"center": -2.5, "half_width": 0.5, "amplitude": 1.0},
-        "beta": {"center": 3.5, "half_width": 0.5, "amplitude": 1.0},
-    },
+    "potential": PotentialSpec().to_dict(),
     "grid": {"L": 8.0, "intervals": 4096},
     "h": 1.0,
     "h_list": [float(x) for x in np.geomspace(0.25, 1.0, 12)],
@@ -93,8 +84,8 @@ class ExperimentConfig:
         pot = PotentialSpec.from_dict(merged["potential"])
         g = merged["grid"]
         intervals = _count(g["intervals"], "grid.intervals")
-        if intervals % 2 != 0:
-            raise PreconditionError("grid.intervals must be even")
+        if intervals % 2 != 0 or intervals < 8:
+            raise PreconditionError(f"grid.intervals must be even and >= 8, got {intervals}")
         h = check_real(merged["h"], "h", positive=True)
         E_window = check_real(merged["E_window"], "E_window", positive=True)
         if not E_window > h:
@@ -119,6 +110,10 @@ class ExperimentConfig:
         plus = self.potential if not self.potential.reflect_beta \
             else self.potential.reflected()
         return plus, plus.reflected()
+
+    def base(self) -> PotentialSpec:
+        """The potential with the beta bump off: x^2 + t alpha."""
+        return replace(self.potential, eps=0.0, reflect_beta=False)
 
 
 @dataclass
@@ -230,8 +225,10 @@ def _exp_spectrum(cfg: ExperimentConfig, rep: Report):
     if len(spec) == 0:
         raise PreconditionError(
             f"E_window = {cfg.E_window} holds no level at h = {cfg.h}")
-    rep.tables["eigenvalues"] = list(spec.to_csv_rows())
     lam = spec.eigenvalues + spec.eigenvalues_lo
+    rep.tables["eigenvalues"] = [
+        {"h": spec.h, "j": j, "lambda": float(v), "error_estimate": float(e)}
+        for j, (v, e) in enumerate(zip(lam, spec.error_estimate), start=1)]
     gaps = np.diff(lam)
     rep.check("eigensolve.ordering", bool(np.all(gaps > 0)),
               float(np.min(gaps, initial=np.inf)),
@@ -282,7 +279,9 @@ def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
     plus, minus = cfg.pair()
     curve = traces.gap_sweep(plus, minus, cfg.h_list, window=cfg.gap_window,
                              grids=cfg.grids())
-    rep.tables["distance"] = list(curve.to_csv_rows())
+    rep.tables["distance"] = [
+        {"h": e.h, "E": e.E, "D": e.D, "error_estimate": e.error_estimate,
+         "n_levels": e.n_levels, "usable": int(e.usable)} for e in curve.entries]
     rep.scripts["plot_gap_decay.py"] = _GAP_PLOT
     usable = curve.usable_entries()
     if not usable and plus.t == 0.0:
@@ -309,13 +308,20 @@ def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
                   f"D/h^{N} decreasing over usable entries")
 
 
+def _variation_row(j: int, h: float, formula: float, oracle: float, eps_fd: float,
+                   discrepancy: float) -> dict:
+    """One row of hadamard-check's ``variation`` table."""
+    return {"j": j, "h": h, "formula": formula, "oracle": oracle, "eps_fd": eps_fd,
+            "discrepancy": discrepancy}
+
+
 def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
     p = cfg.potential
-    base = PotentialSpec(t=p.t, eps=0.0, alpha=p.alpha, beta=p.beta)
-    level = hadamard.solve_level(base, cfg.h, 1, Grid(cfg.grid_L, cfg.grid_intervals - 1))
+    level = hadamard.solve_level(cfg.base(), cfg.h, 1, cfg.grids()[0])
     rows = []
     r = hadamard.variation_check(level, p.beta, eps_fd=cfg.eps_fd)
-    rows.append(r.to_csv_row(cfg.h))
+    rows.append(_variation_row(r.j, cfg.h, r.formula_value, r.oracle_value, r.eps_fd,
+                               r.discrepancy))
     rel = r.discrepancy / abs(r.formula_value)
     rep.check("hadamard.formula_vs_oracle", rel <= 1e-4, 1e-4 - rel,
               f"relative discrepancy {rel:.2e} at eps_fd = {cfg.eps_fd}")
@@ -324,7 +330,8 @@ def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
     discs = []
     for e in (4e-4, 2e-4, 1e-4):
         rw = hadamard.variation_check(level, well, eps_fd=e)
-        rows.append(rw.to_csv_row(cfg.h))
+        rows.append(_variation_row(rw.j, cfg.h, rw.formula_value, rw.oracle_value,
+                                   rw.eps_fd, rw.discrepancy))
         discs.append(rw.discrepancy)
     ratios = [discs[i] / discs[i + 1] for i in range(len(discs) - 1)]
     second_order = all(2.5 <= r <= 6.0 for r in ratios)
@@ -338,8 +345,7 @@ def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
               "constant direction integrates the squared eigenfunction to 1")
 
     w = hadamard.asymmetry_witness(level, p.beta)
-    rows.append({"j": 1, "h": cfg.h, "formula": w.d_plus, "oracle": w.d_minus,
-                 "eps_fd": 0.0, "discrepancy": w.gap})
+    rows.append(_variation_row(level.j, cfg.h, w.d_plus, w.d_minus, 0.0, w.gap))
     rep.check("hadamard.asymmetry_witness", w.significant,
               abs(w.gap) / max(w.error_estimate, 1e-300) - 100.0,
               f"directional derivatives differ: gap {w.gap:.3e}, "
@@ -370,8 +376,7 @@ fig.savefig("weber.png", dpi=150)
 
 
 def _weber_bundle(cfg: ExperimentConfig):
-    p = cfg.potential
-    base = PotentialSpec(t=p.t, eps=0.0, alpha=p.alpha, beta=p.beta)
+    base = cfg.base()
     return (base, *weber.matched_ground_state(base))
 
 
@@ -379,7 +384,8 @@ def _exp_weber(cfg: ExperimentConfig, rep: Report):
     base, lam1, u1, w = _weber_bundle(cfg)
     props = weber.check_properties(w)
     ident = weber.c_identities(w, u1)
-    rep.tables["solution"] = list(w.to_csv_rows(10))
+    rep.tables["solution"] = [{"x": float(x), "W": float(v), "Wp": float(vp)}
+                              for x, v, vp in zip(w.xs[::10], w.W[::10], w.Wp[::10])]
     rep.scripts["plot_weber.py"] = _WEBER_PLOT
     rep.tables["features"] = [{
         "lambda1": lam1, "a": w.a, "z0": w.z0 if w.z0 is not None else math.nan,
@@ -414,8 +420,9 @@ def _exp_pruefer(cfg: ExperimentConfig, rep: Report):
     rep.tables["comparison"] = [
         {"x": float(x), "u1": float(us), "W": float(ub)}
         for x, us, ub in zip(sol.xs[::5], sol.u_small_eq[::5], sol.u_big_eq[::5])]
-    rep.tables["trace_bare"] = list(tb.to_csv_rows())
-    rep.tables["trace_perturbed"] = list(ts.to_csv_rows())
+    for name, tr in (("trace_bare", tb), ("trace_perturbed", ts)):
+        rep.tables[name] = [{"x": float(x), "theta": float(th), "log_r": float(lr)}
+                            for x, th, lr in zip(tr.xs, tr.thetas, tr.log_rs)]
 
     plus, minus = cfg.pair()
     gf, gc = cfg.grids()
@@ -455,7 +462,8 @@ def _exp_trace(cfg: ExperimentConfig, rep: Report):
 
     hs = [0.5, 0.4, 0.32, 0.25, 0.2, 0.16]
     fit = traces.weyl_consistency(harmonic(), f_exp, hs)
-    rep.tables["consistency"] = list(fit.to_csv_rows())
+    rep.tables["consistency"] = [{"h": h, "nu": nu, "two_pi_h_nu": 2.0 * math.pi * h * nu}
+                                 for h, nu in zip(fit.h_list, fit.nu_values)]
     rep.tables["consistency_fit"] = [{
         "a0_fit": fit.a0_fit, "a0_quadrature": fit.a0_quadrature,
         "a1_fit": fit.a1_fit, "max_fit_residual": fit.max_fit_residual,
@@ -512,24 +520,27 @@ def _exp_validate(cfg: ExperimentConfig, rep: Report):
               f"theta advances linearly, deviation {dev:.2e}")
 
 
+_EXPERIMENTS = {
+    "spectrum": _exp_spectrum,
+    "gap-sweep": _exp_gap_sweep,
+    "hadamard-check": _exp_hadamard,
+    "weber": _exp_weber,
+    "pruefer-compare": _exp_pruefer,
+    "trace": _exp_trace,
+    "validate": _exp_validate,
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
 def run(config: dict | ExperimentConfig, experiment: str,
         out_dir: str | None = None) -> Report:
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
-    if experiment not in EXPERIMENTS:
+    if experiment not in _EXPERIMENTS:
         raise PreconditionError(f"unknown experiment {experiment!r}")
     rep = Report(experiment=experiment, config=cfg.raw)
     t0 = time.perf_counter()
-    dispatch = {
-        "spectrum": _exp_spectrum,
-        "gap-sweep": _exp_gap_sweep,
-        "hadamard-check": _exp_hadamard,
-        "weber": _exp_weber,
-        "pruefer-compare": _exp_pruefer,
-        "trace": _exp_trace,
-        "validate": _exp_validate,
-    }
-    dispatch[experiment](cfg, rep)
+    _EXPERIMENTS[experiment](cfg, rep)
     rep.timing_s = time.perf_counter() - t0
     write_report(rep, out_dir or cfg.out_dir)
     return rep
@@ -570,7 +581,7 @@ def main(argv=None) -> int:
     parser.add_argument("--t", type=float, default=None, help="alpha bump strength")
     parser.add_argument("--eps", type=float, default=None, help="beta bump strength")
     parser.add_argument("--grid-n", type=int, default=None,
-                        help="grid subintervals (even; interior points = n-1)")
+                        help="grid subintervals (even, >= 8; interior points = n-1)")
     parser.add_argument("--grid-L", type=float, default=None,
                         help="grid truncation half-length")
     parser.add_argument("--print-defaults", action="store_true",

@@ -325,15 +325,6 @@ class Spectrum:
         lo = self.eigenvalues_lo[:m] - other.eigenvalues_lo[:m]
         return hi + lo
 
-    def to_csv_rows(self):
-        for j in range(len(self)):
-            yield {
-                "h": self.h,
-                "j": j + 1,
-                "lambda": float(self.eigenvalues[j] + self.eigenvalues_lo[j]),
-                "error_estimate": float(self.error_estimate[j]),
-            }
-
 
 def _parity_blocks(T: TridiagonalOperator):
     """The even and odd blocks of a mirror-symmetric T, each with its parity.

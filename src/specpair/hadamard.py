@@ -12,13 +12,13 @@ the symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _dd
 from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize,
-                         eigenvalues_below, eigenvector, _inverse_iteration)
+                         eigenvalues_below, eigenvector, grid_pair, _inverse_iteration)
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
@@ -33,9 +33,6 @@ __all__ = [
     "constant_direction_sanity",
     "asymmetry_witness",
 ]
-
-_DEFAULT_GRID = Grid(8.0, 4095)
-
 
 @dataclass(frozen=True, eq=False)
 class Level:
@@ -57,7 +54,7 @@ def _window_for_level(p: PotentialSpec, h: float, j: int) -> float:
     return (2.0 * j + 1.0) * h + 0.5 + p.t + p.eps
 
 
-def solve_level(p: PotentialSpec, h: float, j: int, grid: Grid = _DEFAULT_GRID) -> Level:
+def solve_level(p: PotentialSpec, h: float, j: int, grid: Grid) -> Level:
     """Level j >= 1 of p at semiclassical parameter h on ``grid``, for the checks below."""
     if j < 1:
         raise PreconditionError(f"level index j must be >= 1, got {j}")
@@ -89,10 +86,7 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
     """
     diffs = []
     for sgn in (+1.0, -1.0):
-        diag = T_base.diag + (sgn * eps_fd) * bvals
-        Tp = TridiagonalOperator(diag=diag, offdiag=T_base.offdiag, h=T_base.h,
-                                 grid=T_base.grid, off_value=T_base.off_value,
-                                 v_boundary=T_base.v_boundary)
+        Tp = replace(T_base, diag=T_base.diag + (sgn * eps_fd) * bvals)
         v, _ = _inverse_iteration(Tp, lam_guess)
         corr = _dd.rayleigh_correction(T_base.diag, T_base.off_value, v, lam_guess,
                                        extra_diag=bvals, extra_scale=sgn * eps_fd)
@@ -101,7 +95,7 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
     return (ph - mh) + (pl - ml)
 
 
-def fd_oracle(level: Level, beta: BumpSpec, eps_fd: float = 1e-5) -> float:
+def fd_oracle(level: Level, beta: BumpSpec, eps_fd: float) -> float:
     """(lam_j(+eps_fd) - lam_j(-eps_fd)) / (2 eps_fd) on the level's grid."""
     j, lams = level.j, level.spec.eigenvalues
     gap_lo = lams[j - 1] - lams[j - 2] if j >= 2 else np.inf
@@ -125,13 +119,8 @@ class VariationResult:
     eps_fd: float
     discrepancy: float
 
-    def to_csv_row(self, h: float) -> dict:
-        return {"j": self.j, "h": h, "formula": self.formula_value,
-                "oracle": self.oracle_value, "eps_fd": self.eps_fd,
-                "discrepancy": self.discrepancy}
 
-
-def variation_check(level: Level, beta: BumpSpec, eps_fd: float = 1e-5) -> VariationResult:
+def variation_check(level: Level, beta: BumpSpec, eps_fd: float) -> VariationResult:
     """Formula and oracle side by side on one solved level."""
     formula = variational_derivative(level, beta)
     oracle = fd_oracle(level, beta, eps_fd)
@@ -168,7 +157,9 @@ def asymmetry_witness(level: Level, beta: BumpSpec) -> AsymmetryWitness:
     the gap must vanish).  The gap equals the integral of beta against the
     odd part of u_1^2 and is the ground-state asymmetry certificate.  The
     error estimate comes from repeating the quadrature on the
-    half-resolution grid, the one level this function solves itself.
+    half-resolution grid, the one level this function solves itself; the
+    level's grid must be the fine member of a ``grid_pair`` (odd n), else
+    PreconditionError.
     """
     if level.p.eps != 0.0:
         raise PreconditionError("base potential must have eps = 0")
@@ -183,8 +174,12 @@ def asymmetry_witness(level: Level, beta: BumpSpec) -> AsymmetryWitness:
         return dp, dm
 
     grid = level.T.grid
+    try:
+        coarse = grid_pair(grid.L, grid.n + 1)[1]
+    except PreconditionError as exc:
+        raise PreconditionError(
+            f"level grid {grid} has no half-resolution grid: {exc}") from None
     dp_f, dm_f = one(grid, level.u)
-    coarse = Grid(grid.L, (grid.n + 1) // 2 - 1)
     dp_c, dm_c = one(coarse, solve_level(level.p, level.T.h, 1, coarse).u)
     gap_f = dp_f - dm_f
     gap_c = dp_c - dm_c

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -84,13 +84,14 @@ class BumpSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict, where: str = "bump") -> "BumpSpec":
+    def from_dict(cls, d: dict, where: str) -> "BumpSpec":
         """A bump from its config object; ``where`` prefixes the key in errors."""
         check_keys(d, ("center", "half_width", "amplitude"), where)
         return cls(center=check_real(d.get("center"), f"{where}.center"),
                    half_width=check_real(d.get("half_width"), f"{where}.half_width",
                                          positive=True),
-                   amplitude=check_real(d.get("amplitude", 1.0), f"{where}.amplitude"))
+                   amplitude=check_real(d.get("amplitude", cls.amplitude),
+                                        f"{where}.amplitude"))
 
 
 def _mollifier(u):
@@ -130,27 +131,21 @@ def bump_derivative(b: BumpSpec, x):
     return float(val) if scalar else val
 
 
-def _default_alpha() -> BumpSpec:
-    return BumpSpec(center=-2.5, half_width=0.5, amplitude=1.0)
-
-
-def _default_beta() -> BumpSpec:
-    return BumpSpec(center=3.5, half_width=0.5, amplitude=1.0)
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Parameters of one member of the bump-perturbed oscillator family.
 
     ``reflect_beta=False`` gives the "plus" member (beta bump on (3,4)),
     ``reflect_beta=True`` the "minus" member (beta bump mirrored to (-4,-3)).
+    The field defaults are the default pair's plus member; ``from_dict`` and
+    the CLI's ``DEFAULTS`` take them from here.
     """
 
     t: float = 0.05
     eps: float = 0.05
     reflect_beta: bool = False
-    alpha: BumpSpec = field(default_factory=_default_alpha)
-    beta: BumpSpec = field(default_factory=_default_beta)
+    alpha: BumpSpec = BumpSpec(center=-2.5, half_width=0.5)
+    beta: BumpSpec = BumpSpec(center=3.5, half_width=0.5)
 
     def __post_init__(self):
         _check_finite(self, ("t", "eps"))
@@ -178,20 +173,19 @@ class PotentialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
-        check_keys(d, ("t", "eps", "reflect_beta", "alpha", "beta"), "potential")
-        reflect = d.get("reflect_beta", False)
+        """A potential from its config object; a missing key takes the field's default."""
+        defaults = cls().to_dict()
+        check_keys(d, defaults, "potential")
+        d = {**defaults, **d}
+        reflect = d["reflect_beta"]
         if not isinstance(reflect, bool):
             raise PreconditionError(
                 f"potential.reflect_beta must be true or false, got {reflect!r}")
-        return cls(
-            t=check_real(d.get("t", 0.05), "potential.t"),
-            eps=check_real(d.get("eps", 0.05), "potential.eps"),
-            reflect_beta=reflect,
-            alpha=BumpSpec.from_dict(d["alpha"], "potential.alpha") if "alpha" in d
-            else _default_alpha(),
-            beta=BumpSpec.from_dict(d["beta"], "potential.beta") if "beta" in d
-            else _default_beta(),
-        )
+        return cls(t=check_real(d["t"], "potential.t"),
+                   eps=check_real(d["eps"], "potential.eps"),
+                   reflect_beta=reflect,
+                   alpha=BumpSpec.from_dict(d["alpha"], "potential.alpha"),
+                   beta=BumpSpec.from_dict(d["beta"], "potential.beta"))
 
     @classmethod
     def from_json(cls, s: str) -> "PotentialSpec":

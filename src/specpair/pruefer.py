@@ -107,31 +107,15 @@ class PrueferTrace:
         k1 = math.floor(self.thetas[-1] / math.pi)
         return int(k1 - k0)
 
-    def to_csv_rows(self):
-        for x, th, lr in zip(self.xs, self.thetas, self.log_rs):
-            yield {"x": float(x), "theta": float(th), "log_r": float(lr)}
-
-
-def _angle_rhs(qf):
-    def rhs(x, y):
-        th = y[0]
-        s = math.sin(th)
-        c = math.cos(th)
-        qq = qf(x)
-        return (qq * s * s + c * c, (1.0 - qq) * s * c)
-    return rhs
-
 
 def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float) -> PrueferTrace:
-    """Integrate the angle (and log-radius) equation from (x0, theta0) to x1."""
-    if not x0 < x1:
-        raise PreconditionError("need x0 < x1")
-    qf = q.scalar_fn()
-    xs, ys = _rk.integrate(_angle_rhs(qf), x0, (theta0, 0.0), x1,
-                           eps_per_length=EPS_PER_LENGTH, max_step=MAX_STEP)
-    arr = np.asarray(ys)
-    return PrueferTrace(xs=np.asarray(xs), thetas=arr[:, 0], log_rs=arr[:, 1],
-                        start=(x0, theta0), q=q)
+    """Integrate the angle (and log-radius) equation from (x0, theta0) to x1.
+
+    The pair integrator with both members ``q``: the step control takes the
+    largest error over the components, and the copy only repeats them, so
+    the trace is the one a single system would give, bit for bit.
+    """
+    return integrate_angle_pair(q, q, x0, theta0, x1)[0]
 
 
 def integrate_angle_pair(q_big: CoefficientQ, q_small: CoefficientQ,

@@ -187,10 +187,6 @@ class WeylFit:
     h_list: list[float]
     nu_values: list[float]
 
-    def to_csv_rows(self):
-        for h, nu in zip(self.h_list, self.nu_values):
-            yield {"h": h, "nu": nu, "two_pi_h_nu": 2.0 * math.pi * h * nu}
-
 
 def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None) -> WeylFit:
     """Fit (2 pi h) nu_h(f) = a0 + a1 h^2 + a2 h^4 over the h sample.
@@ -233,11 +229,6 @@ class GapEntry:
     error_estimate: float
     n_levels: int
     usable: bool = True
-
-    def to_csv_row(self):
-        return {"h": self.h, "E": self.E, "D": self.D,
-                "error_estimate": self.error_estimate,
-                "n_levels": self.n_levels, "usable": int(self.usable)}
 
 
 def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
@@ -323,10 +314,6 @@ class GapCurve:
 
     def usable_entries(self) -> list[GapEntry]:
         return [e for e in self.entries if e.usable]
-
-    def to_csv_rows(self):
-        for e in self.entries:
-            yield e.to_csv_row()
 
 
 def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,

@@ -121,11 +121,6 @@ class WeberSolution:
     def derivative(self, x):
         return self.dense.derivative(x)
 
-    def to_csv_rows(self, step: int = 1):
-        """One row per ``step``-th sample, the first included."""
-        for x, w, wp in zip(self.xs[::step], self.W[::step], self.Wp[::step]):
-            yield {"x": float(x), "W": float(w), "Wp": float(wp)}
-
 
 def solve_weber(lambda1: float, u1: DenseSolution) -> WeberSolution:
     """Integrate the Weber equation rightward and extract its features.
@@ -187,10 +182,16 @@ def matched_ground_state(base: PotentialSpec) -> tuple[float, DenseSolution, Web
     """(lam1, u1, W): the ground level of ``base`` at h = 1 and its matched Weber solution.
 
     lam1 is shot to 1e-12 on [X_LEFT, X_RIGHT], u1 is its normalized
-    eigenfunction and W the Weber solution matched to u1 at x = -3.
+    eigenfunction and W the Weber solution matched to u1 at x = -3.  The
+    bare oscillator (t = eps = 0) takes its closed-form lam1 = 1 instead:
+    the truncation to [X_LEFT, X_RIGHT] moves it by about e^-64, while a
+    shot lands about 5e-13 off and misses the boundary case lam1 == 1.
     """
-    lam1 = pruefer.shoot_eigenvalue(base, 1.0, 1, X_RIGHT, lam_tol=1e-12,
-                                    eps_per_length=1e-12)
+    if base.t == base.eps == 0.0:
+        lam1 = 1.0
+    else:
+        lam1 = pruefer.shoot_eigenvalue(base, 1.0, 1, X_RIGHT, lam_tol=1e-12,
+                                        eps_per_length=1e-12)
     u1 = ode_ground_state(base, lam1)
     return lam1, u1, solve_weber(lam1, u1)
 

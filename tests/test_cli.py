@@ -28,13 +28,48 @@ def test_spectrum_harmonic(tmp_path):
     assert code == 0
     rows = (tmp_path / "spectrum_eigenvalues.csv").read_text().strip().splitlines()
     assert rows[0] == "h,j,lambda,error_estimate"
-    lams = [float(r.split(",")[2]) for r in rows[1:]]
-    for j, lam in enumerate(lams, start=1):
-        assert lam == pytest.approx(2 * j - 1, abs=1e-6)
+    cells = [r.split(",") for r in rows[1:]]
+    assert [int(c[1]) for c in cells] == list(range(1, len(cells) + 1))
+    for j, c in enumerate(cells, start=1):
+        assert float(c[2]) == pytest.approx(2 * j - 1, abs=1e-6)
     report = json.loads((tmp_path / "spectrum_report.json").read_text())
     assert report["passed"]
     names = [a["name"] for a in report["assertions"]]
     assert "eigensolve.ordering" in names
+
+
+TABLE_HEADERS = {
+    "spectrum": {"eigenvalues": "h,j,lambda,error_estimate"},
+    "gap-sweep": {"distance": "h,E,D,error_estimate,n_levels,usable",
+                  "fit": "C,c,r_squared,power_r_squared,noise_floor,n_points"},
+    "hadamard-check": {"variation": "j,h,formula,oracle,eps_fd,discrepancy"},
+    "weber": {"solution": "x,W,Wp",
+              "features": "lambda1,a,z0,c,decay_slope,growth_slope,max_residual"},
+    "pruefer-compare": {
+        "comparison": "x,u1,W",
+        "trace_bare": "x,theta,log_r",
+        "trace_perturbed": "x,theta,log_r",
+        "cross_method": "h,potential,j,matrix,shooting,difference,tolerance"},
+    "trace": {"weyl": "f,a0_plus,a0_minus,difference",
+              "consistency": "h,nu,two_pi_h_nu",
+              "consistency_fit": "a0_fit,a0_quadrature,a1_fit,max_fit_residual"},
+    "validate": {},
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_csv_tables_and_their_headers(tmp_path, monkeypatch, weber_bundle, experiment):
+    # the default potential's bundle is the shared weber_bundle fixture;
+    # one shot pair keeps the cross-method table short
+    monkeypatch.setattr(cli, "_weber_bundle", lambda cfg: weber_bundle)
+    config = {"shoot_h_list": [1.0], "shoot_j_max": 1} \
+        if experiment == "pruefer-compare" else {}
+    rep = cli.run(config, experiment, out_dir=tmp_path)
+    headers = {p.name: p.read_text().split("\n", 1)[0] for p in tmp_path.glob("*.csv")}
+    assert headers == {f"{experiment}_{name}.csv": line
+                       for name, line in TABLE_HEADERS[experiment].items()}
+    if experiment == "weber":
+        assert len(rep.tables["solution"]) == weber_bundle[3].xs[::10].size
 
 
 def test_spectrum_deterministic_output(tmp_path):
@@ -146,6 +181,7 @@ def test_unknown_config_key_is_an_error(tmp_path, bad, key):
     ({"eps_fd": 0}, "eps_fd", "hadamard-check"),
     ({"h": "1"}, "h", "validate"),
     ({"E_window": 0.5}, "E_window", "spectrum"),    # below lambda_1 >= h = 1
+    ({"grid": {"intervals": 6}}, "grid.intervals", "hadamard-check"),   # no node meets beta
 ])
 def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experiment):
     with pytest.raises(PreconditionError, match=rf"^{re.escape(key)}\b"):

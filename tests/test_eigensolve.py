@@ -364,14 +364,6 @@ def test_spectrum_value_outside_the_window_is_an_error(j):
         spec.value(j)
 
 
-def test_spectrum_csv_rows():
-    g = Grid(8.0, 1023)
-    spec = eigenvalues_below(discretize(harmonic(), 1.0, g), 4.0)
-    rows = list(spec.to_csv_rows())
-    assert [r["j"] for r in rows] == [1, 2]
-    assert set(rows[0]) == {"h", "j", "lambda", "error_estimate"}
-
-
 @settings(max_examples=25, deadline=None)
 @given(t=st.floats(0.0, 0.2), eps=st.floats(0.0, 0.2))
 def test_extraction_properties(t, eps):

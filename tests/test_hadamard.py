@@ -31,7 +31,7 @@ def ground():
 def test_zero_amplitude_direction(ground):
     none = BumpSpec(center=3.5, half_width=0.5, amplitude=0.0)
     assert variational_derivative(ground, none) == 0.0
-    assert fd_oracle(ground, none) == 0.0
+    assert fd_oracle(ground, none, eps_fd=1e-5) == 0.0
 
 
 def test_constant_direction_is_one(ground):
@@ -111,6 +111,14 @@ def test_witness_requires_ground_level():
         asymmetry_witness(solve_level(PotentialSpec(t=0.05, eps=0.0), 1.0, 2, GRID), TAIL)
 
 
+def test_witness_needs_a_grid_with_a_half_resolution_partner():
+    # n = 4096 has no coarse grid at dx ratio exactly 2; the witness used to
+    # pair it with n = 2047 (ratio 4097/2048) and still divide by 3
+    level = solve_level(PotentialSpec(t=0.05, eps=0.0), 1.0, 1, Grid(8.0, 4096))
+    with pytest.raises(PreconditionError, match=r"Grid\(L=8\.0, n=4096\)"):
+        asymmetry_witness(level, TAIL)
+
+
 def test_witness_with_alpha_bump_significant():
     base = PotentialSpec(t=0.05, eps=0.0)
     w = asymmetry_witness(solve_level(base, 1.0, 1, GRID), TAIL)
@@ -156,7 +164,7 @@ def test_hadamard_check_solves_each_row_once(monkeypatch, tmp_path):
     assert calls["dgttrf"] == 3
     # a variation row factors only its +-eps_fd pair
     calls["dgttrf"] = 0
-    variation_check(level, TAIL)
+    variation_check(level, TAIL, eps_fd=1e-5)
     assert calls["dgttrf"] == 2
     calls["dgttrf"] = calls["solve_level"] = 0
     rep = cli.run({}, "hadamard-check", out_dir=tmp_path)

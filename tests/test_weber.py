@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specpair import weber
+from specpair import cli, weber
 from specpair.errors import ConvergenceError, PreconditionError
 from specpair.potential import PotentialSpec, harmonic
 from specpair.eigensolve import Grid, discretize, eigenvalues_below, eigenvector
@@ -95,6 +95,16 @@ def test_boundary_case_harmonic():
     assert np.all(w.W > 0.0)
 
 
+def test_weber_experiment_at_t0_is_the_boundary_case(tmp_path):
+    # a shot lands about 5e-13 above lam1 = 1, which failed the decay law
+    # against the shooting error and never reached the boundary branch
+    rep = cli.run({"potential": {"t": 0.0}}, "weber", out_dir=tmp_path)
+    assert [(a.name, a.passed) for a in rep.assertions] == \
+        [("weber.properties", True), ("weber.identities", True)]
+    assert rep.tables["features"][0]["lambda1"] == 1.0
+    assert rep.tables["features"][0]["a"] == 0.0
+
+
 def test_perturbed_level_partial_properties(bundle):
     # positivity up to 3 fails once the level is far from 1: the zero moves
     # into the well region, while the remaining shape properties persist
@@ -170,11 +180,3 @@ def test_trace_reconstruction_matches_weber(bundle):
     w_rec = float(w.value(-3.0)) / math.sin(th0) * r * np.sin(tr.thetas)
     w_ref = w.value(tr.xs)
     assert float(np.max(np.abs(w_rec - w_ref))) <= 1e-8
-
-
-def test_csv_rows(bundle):
-    _, _, w = bundle
-    rows = list(w.to_csv_rows())
-    assert set(rows[0]) == {"x", "W", "Wp"}
-    assert len(rows) == w.xs.size
-    assert list(w.to_csv_rows(10)) == rows[::10]
