@@ -26,7 +26,6 @@ from .eigensolve import (
     discretize,
     eigenvalues_below,
     eigenvector,
-    grid_pair,
     refine,
 )
 from .pruefer import (

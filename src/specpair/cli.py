@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eigensolve, hadamard, pruefer, traces, weber
-from .eigensolve import Grid, discretize, eigenvalues_below, grid_pair, refine
+from .eigensolve import Grid, discretize, eigenvalues_below, refine
 from .errors import PreconditionError, check_keys, check_real
 from .potential import BumpSpec, PotentialSpec, harmonic, validate
 
@@ -83,9 +83,13 @@ class ExperimentConfig:
                 merged[key] = val
         pot = PotentialSpec.from_dict(merged["potential"])
         g = merged["grid"]
+        L = check_real(g["L"], "grid.L", positive=True)
         intervals = _count(g["intervals"], "grid.intervals")
-        if intervals % 2 != 0 or intervals < 8:
-            raise PreconditionError(f"grid.intervals must be even and >= 8, got {intervals}")
+        try:
+            Grid(L, intervals - 1).coarse()
+        except PreconditionError as exc:
+            raise PreconditionError(
+                f"grid.intervals = {intervals} has no Richardson pair: {exc}") from None
         h = check_real(merged["h"], "h", positive=True)
         E_window = check_real(merged["E_window"], "E_window", positive=True)
         if not E_window > h:
@@ -94,8 +98,7 @@ class ExperimentConfig:
         gw = merged["gap_window"]
         if gw != "ground":
             gw = check_real(gw, "gap_window", positive=True)
-        return cls(potential=pot, grid_L=check_real(g["L"], "grid.L", positive=True),
-                   grid_intervals=intervals, h=h,
+        return cls(potential=pot, grid_L=L, grid_intervals=intervals, h=h,
                    h_list=_positive_list(merged["h_list"], "h_list"),
                    E_window=E_window, gap_window=gw,
                    eps_fd=check_real(merged["eps_fd"], "eps_fd", positive=True),
@@ -103,8 +106,9 @@ class ExperimentConfig:
                    shoot_j_max=_count(merged["shoot_j_max"], "shoot_j_max"),
                    out_dir=_out_dir(merged["out_dir"]), raw=merged)
 
-    def grids(self) -> tuple[Grid, Grid]:
-        return grid_pair(self.grid_L, self.grid_intervals)
+    def grid(self) -> Grid:
+        """The fine grid, intervals - 1 interior points; its partner is ``coarse()``."""
+        return Grid(self.grid_L, self.grid_intervals - 1)
 
     def pair(self) -> tuple[PotentialSpec, PotentialSpec]:
         plus = self.potential if not self.potential.reflect_beta \
@@ -220,8 +224,7 @@ def write_report(report: Report, out_dir: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def _exp_spectrum(cfg: ExperimentConfig, rep: Report):
-    gf, gc = cfg.grids()
-    spec = refine(cfg.potential, cfg.h, cfg.E_window, gf, gc)
+    spec = refine(cfg.potential, cfg.h, cfg.E_window, cfg.grid())
     if len(spec) == 0:
         raise PreconditionError(
             f"E_window = {cfg.E_window} holds no level at h = {cfg.h}")
@@ -277,8 +280,7 @@ def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
             "gap-sweep needs potential.eps != 0: at eps = 0 both members are the "
             "same operator, so there is no splitting to measure")
     plus, minus = cfg.pair()
-    curve = traces.gap_sweep(plus, minus, cfg.h_list, window=cfg.gap_window,
-                             grids=cfg.grids())
+    curve = traces.gap_sweep(plus, minus, cfg.h_list, cfg.grid(), window=cfg.gap_window)
     rep.tables["distance"] = [
         {"h": e.h, "E": e.E, "D": e.D, "error_estimate": e.error_estimate,
          "n_levels": e.n_levels, "usable": int(e.usable)} for e in curve.entries]
@@ -317,7 +319,7 @@ def _variation_row(j: int, h: float, formula: float, oracle: float, eps_fd: floa
 
 def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
     p = cfg.potential
-    level = hadamard.solve_level(cfg.base(), cfg.h, 1, cfg.grids()[0])
+    level = hadamard.solve_level(cfg.base(), cfg.h, 1, cfg.grid())
     rows = []
     r = hadamard.variation_check(level, p.beta, eps_fd=cfg.eps_fd)
     rows.append(_variation_row(r.j, cfg.h, r.formula_value, r.oracle_value, r.eps_fd,
@@ -425,13 +427,12 @@ def _exp_pruefer(cfg: ExperimentConfig, rep: Report):
                             for x, th, lr in zip(tr.xs, tr.thetas, tr.log_rs)]
 
     plus, minus = cfg.pair()
-    gf, gc = cfg.grids()
     rows = []
     worst = math.inf
     for h in cfg.shoot_h_list:
         E = (2 * cfg.shoot_j_max + 1) * h
         for tag, p in (("plus", plus), ("minus", minus)):
-            spec = refine(p, h, E, gf, gc)
+            spec = refine(p, h, E, cfg.grid())
             for j in range(1, min(cfg.shoot_j_max, len(spec)) + 1):
                 shot = pruefer.shoot_eigenvalue(p, h, j, cfg.grid_L)
                 matrix = spec.value(j)
@@ -504,9 +505,8 @@ def _exp_validate(cfg: ExperimentConfig, rep: Report):
               f"n = 7 instance matches root finding to {dev:.2e}")
 
     # bare oscillator ground state sits at h
-    gf, gc = grid_pair(8.0, 2048)
     for h in (1.0, 0.5):
-        s = refine(harmonic(), h, 2.5 * h, gf, gc)
+        s = refine(harmonic(), h, 2.5 * h, g)
         tol = max(10.0 * float(s.error_estimate[0]), 1e-12)
         dev = abs(s.value(1) - h)
         rep.check(f"eigensolve.harmonic_ground_h{h}", dev <= tol, tol - dev,
@@ -581,7 +581,7 @@ def main(argv=None) -> int:
     parser.add_argument("--t", type=float, default=None, help="alpha bump strength")
     parser.add_argument("--eps", type=float, default=None, help="beta bump strength")
     parser.add_argument("--grid-n", type=int, default=None,
-                        help="grid subintervals (even, >= 8; interior points = n-1)")
+                        help="grid subintervals (even, >= 16; interior points = n-1)")
     parser.add_argument("--grid-L", type=float, default=None,
                         help="grid truncation half-length")
     parser.add_argument("--print-defaults", action="store_true",

@@ -59,7 +59,6 @@ __all__ = [
     "Grid",
     "TridiagonalOperator",
     "Spectrum",
-    "grid_pair",
     "discretize",
     "count_below",
     "eigenvalues_below",
@@ -83,7 +82,9 @@ class Grid:
     """Symmetric grid of ``n`` interior points on (-L, L), Dirichlet ends.
 
     Node i (1-based) sits at (i - (n+1)/2) * dx with dx = 2L/(n+1); the node
-    set is exactly closed under negation.
+    set is exactly closed under negation.  At least 7 nodes, so that each
+    parity block of a mirror-symmetric operator (see ``_parity_blocks``)
+    has at least 3 rows.
     """
 
     L: float
@@ -92,8 +93,8 @@ class Grid:
     def __post_init__(self):
         if not self.L > 0.0:
             raise PreconditionError(f"L must be > 0, got {self.L}")
-        if self.n < 3:
-            raise PreconditionError(f"need at least 3 interior points, got {self.n}")
+        if self.n < 7:
+            raise PreconditionError(f"need at least 7 interior points, got {self.n}")
 
     @property
     def dx(self) -> float:
@@ -103,16 +104,15 @@ class Grid:
         k = np.arange(1, self.n + 1, dtype=float) - 0.5 * (self.n + 1)
         return k * self.dx
 
+    def coarse(self) -> "Grid":
+        """The Richardson partner: every other node, dx exactly doubled.
 
-def grid_pair(L: float, intervals: int) -> tuple[Grid, Grid]:
-    """A (fine, coarse) grid pair with dx ratio exactly 2.
-
-    ``intervals`` is the fine subinterval count and must be even; the fine
-    grid has intervals-1 interior points.
-    """
-    if intervals % 2 != 0 or intervals < 8:
-        raise PreconditionError(f"intervals must be even and >= 8, got {intervals}")
-    return Grid(L, intervals - 1), Grid(L, intervals // 2 - 1)
+        Only a grid with odd n has one; its nodes are this grid's nodes
+        1, 3, 5, ... (0-based).
+        """
+        if self.n % 2 == 0:
+            raise PreconditionError(f"{self} has no half-resolution grid: n is even")
+        return Grid(self.L, (self.n - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -463,16 +463,6 @@ def eigenvalues_below(T: TridiagonalOperator, E: float,
 # Richardson refinement
 # ---------------------------------------------------------------------------
 
-def _check_grid_pair(grid_fine: Grid, grid_coarse: Grid):
-    if grid_fine.L != grid_coarse.L:
-        raise PreconditionError("refinement grids must share L")
-    if grid_fine.n == grid_coarse.n:
-        raise PreconditionError("refinement grids must differ")
-    if grid_fine.n + 1 != 2 * (grid_coarse.n + 1):
-        raise PreconditionError(
-            f"dx ratio must be exactly 2: got n = {grid_fine.n}, {grid_coarse.n}")
-
-
 def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
     m = min(len(fine), len(coarse))
     f_hi, f_lo = fine.eigenvalues[:m], fine.eigenvalues_lo[:m]
@@ -488,10 +478,10 @@ def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
 
 
 def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
-                 grid_fine: Grid, grid_coarse: Grid) -> list[Spectrum]:
-    """Richardson-refined spectra for several (potential, h, E) requests on one grid pair.
+                 grid: Grid) -> list[Spectrum]:
+    """Richardson-refined spectra for several (potential, h, E) requests on ``grid``.
 
-    The coarse grid is solved by ``eigenvalues_below_multi``.  Each fine
+    The coarse grid, ``grid.coarse()``, is solved first.  Each fine
     level is then polished from its coarse partner instead of a bisection
     bracket (``_levels`` with seeds): the two differ by the O(dx^2)
     discretization error, far less than the spacing of levels of one
@@ -504,9 +494,9 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
     Each solve checks the turning-point margin (V(L) >= E + 10, else
     ``GridMarginError``); both grids share L, so the coarse solve raises first.
     """
-    _check_grid_pair(grid_fine, grid_coarse)
-    ops_f = [discretize(p, h, grid_fine) for (p, h, _) in entries]
-    ops_c = [discretize(p, h, grid_coarse) for (p, h, _) in entries]
+    grid_c = grid.coarse()
+    ops_f = [discretize(p, h, grid) for (p, h, _) in entries]
+    ops_c = [discretize(p, h, grid_c) for (p, h, _) in entries]
     Es = [float(E) for (_, _, E) in entries]
     spec_c = eigenvalues_below_multi(ops_c, Es)
     results = []
@@ -519,15 +509,14 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
     return results
 
 
-def refine(p: PotentialSpec, h: float, E: float, grid_fine: Grid,
-           grid_coarse: Grid) -> Spectrum:
-    """Richardson-extrapolated eigenvalues (4 fine - coarse)/3 below E.
+def refine(p: PotentialSpec, h: float, E: float, grid: Grid) -> Spectrum:
+    """Richardson-extrapolated eigenvalues (4 fine - coarse)/3 below E on ``grid``.
 
     The returned error_estimate per eigenvalue is |fine - coarse| / 3.
     The fine levels are polished from the coarse ones, with bisection as
     the fallback; see ``refine_multi``.
     """
-    return refine_multi([(p, h, E)], grid_fine, grid_coarse)[0]
+    return refine_multi([(p, h, E)], grid)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _dd
 from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize,
-                         eigenvalues_below, eigenvector, grid_pair, _inverse_iteration)
+                         eigenvalues_below, eigenvector, _inverse_iteration)
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
@@ -121,7 +121,17 @@ class VariationResult:
 
 
 def variation_check(level: Level, beta: BumpSpec, eps_fd: float) -> VariationResult:
-    """Formula and oracle side by side on one solved level."""
+    """Formula and oracle side by side on one solved level.
+
+    A bump that is 0 at every node of the level's grid (no node inside its
+    support, or amplitude 0) makes both values exactly 0, so the check
+    would compare nothing; that raises PreconditionError.
+    """
+    grid = level.T.grid
+    if not np.any(bump_eval(beta, grid.nodes())):
+        raise PreconditionError(
+            f"the bump is 0 at every node of {grid}: support {beta.support}, "
+            f"amplitude {beta.amplitude}")
     formula = variational_derivative(level, beta)
     oracle = fd_oracle(level, beta, eps_fd)
     return VariationResult(j=level.j, formula_value=formula, oracle_value=oracle,
@@ -157,9 +167,8 @@ def asymmetry_witness(level: Level, beta: BumpSpec) -> AsymmetryWitness:
     the gap must vanish).  The gap equals the integral of beta against the
     odd part of u_1^2 and is the ground-state asymmetry certificate.  The
     error estimate comes from repeating the quadrature on the
-    half-resolution grid, the one level this function solves itself; the
-    level's grid must be the fine member of a ``grid_pair`` (odd n), else
-    PreconditionError.
+    half-resolution grid ``Grid.coarse()``, the one level this function
+    solves itself.
     """
     if level.p.eps != 0.0:
         raise PreconditionError("base potential must have eps = 0")
@@ -174,11 +183,7 @@ def asymmetry_witness(level: Level, beta: BumpSpec) -> AsymmetryWitness:
         return dp, dm
 
     grid = level.T.grid
-    try:
-        coarse = grid_pair(grid.L, grid.n + 1)[1]
-    except PreconditionError as exc:
-        raise PreconditionError(
-            f"level grid {grid} has no half-resolution grid: {exc}") from None
+    coarse = grid.coarse()
     dp_f, dm_f = one(grid, level.u)
     dp_c, dm_c = one(coarse, solve_level(level.p, level.T.h, 1, coarse).u)
     gap_f = dp_f - dm_f

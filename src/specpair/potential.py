@@ -224,13 +224,8 @@ def potential_derivative(p: PotentialSpec, x):
 class ValidationReport:
     ok: bool
     failures: list[str]
-    alpha_support: tuple[float, float]
-    beta_support: tuple[float, float]
     derivative_bound_alpha: float
     derivative_bound_beta: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate(p: PotentialSpec) -> ValidationReport:
@@ -278,8 +273,6 @@ def validate(p: PotentialSpec) -> ValidationReport:
     return ValidationReport(
         ok=not failures,
         failures=failures,
-        alpha_support=(a_lo, a_hi),
-        beta_support=(b_lo, b_hi),
         derivative_bound_alpha=da,
         derivative_bound_beta=db,
     )

@@ -152,9 +152,6 @@ class AngleComparison:
     argmin_x: float
     n_samples: int
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _check_shared(trace_big: PrueferTrace, trace_small: PrueferTrace) -> None:
     """Raise unless both traces start alike and share their abscissae."""
@@ -197,9 +194,6 @@ class SolutionComparison:
     xs: np.ndarray
     u_small_eq: np.ndarray     # solution of the smaller-Q equation (the perturbed one)
     u_big_eq: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _reconstruct(trace: PrueferTrace, start_value: float) -> np.ndarray:

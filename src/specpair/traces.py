@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .eigensolve import Grid, discretize, eigenvalues_below_multi, grid_pair, refine_multi
+from .eigensolve import Grid, discretize, eigenvalues_below_multi, refine_multi
 from .errors import PreconditionError, WindowCapError, check_real
 from .potential import PotentialSpec, _mollifier, potential_eval
 
@@ -44,8 +44,8 @@ SUPERPOLY_POWERS = (2, 4, 6, 8)   # the N of the D(h)/h^N monotonicity table
 class TestFunction:
     """Nonnegative test function of energy: decaying exponential or bump.
 
-    kind='exponential': f(E) = amplitude * exp(-scale * E), scale > 0.
-    kind='bump': amplitude times the mollifier of ``potential`` in E on
+    kind='exponential': f(E) = exp(-scale * E), scale > 0.
+    kind='bump': the mollifier of ``potential`` in E on
     (center - half_width, center + half_width), half_width > 0.
     Every parameter must be a finite number.
     """
@@ -56,7 +56,6 @@ class TestFunction:
     scale: float = 1.0
     center: float = 5.0
     half_width: float = 2.0
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("exponential", "bump"):
@@ -64,15 +63,13 @@ class TestFunction:
         check_real(self.scale, "scale", positive=self.kind == "exponential")
         check_real(self.center, "center")
         check_real(self.half_width, "half_width", positive=self.kind == "bump")
-        if check_real(self.amplitude, "amplitude") < 0.0:
-            raise PreconditionError("amplitude must be >= 0")
 
     def __call__(self, E):
         E = np.asarray(E, dtype=float)
         if self.kind == "exponential":
-            out = self.amplitude * np.exp(-self.scale * E)
+            out = np.exp(-self.scale * E)
         else:
-            out = self.amplitude * _mollifier((E - self.center) / self.half_width)
+            out = _mollifier((E - self.center) / self.half_width)
         return float(out) if out.ndim == 0 else out
 
     def window_for_tail(self, h: float) -> float:
@@ -81,22 +78,18 @@ class TestFunction:
         Uses the oscillator lower bound lambda_j >= (2j-1) h, valid for any
         potential above x^2.
         """
-        if self.amplitude == 0.0:
-            return 2.0 * h   # nothing to sum; keep a token window
         if self.kind == "bump":
             return self.center + self.half_width + 1e-9
         s = self.scale
         geom = 1.0 - math.exp(-2.0 * s * h)
-        return (math.log(self.amplitude / TAIL_TOL) + math.log(1.0 / geom)) / s
+        return (math.log(1.0 / TAIL_TOL) + math.log(1.0 / geom)) / s
 
     def tail_bound(self, E: float, h: float) -> float:
         """Certified bound on the sum of f over eigenvalues >= E."""
-        if self.amplitude == 0.0:
-            return 0.0
         if self.kind == "bump":
             return 0.0 if E >= self.center + self.half_width else math.inf
         s = self.scale
-        return self.amplitude * math.exp(-s * E) / (1.0 - math.exp(-2.0 * s * h))
+        return math.exp(-s * E) / (1.0 - math.exp(-2.0 * s * h))
 
 
 def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
@@ -105,19 +98,16 @@ def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
     The sum runs over the Richardson-refined levels below the window
     E = ``f.window_for_tail(h)``, beyond which the rest of the sum is
     certified below ``TAIL_TOL``; a window above ``WINDOW_CAP`` raises
-    ``WindowCapError``.  The grid pair is chosen here: L = max(8, sqrt(E) + 4)
-    makes V(L) >= L^2 exceed E + 10, and the fine grid has 8192 intervals
+    ``WindowCapError``.  The grid is chosen here: L = max(8, sqrt(E) + 4)
+    makes V(L) >= L^2 exceed E + 10, and the grid has 8192 intervals
     (16384 once L > 9).
     """
     E = f.window_for_tail(h)
     if E > WINDOW_CAP:
         raise WindowCapError(
             f"tail below {TAIL_TOL} needs window E = {E:.1f} > cap {WINDOW_CAP}")
-    if f.amplitude == 0.0:
-        return 0.0
     L = max(8.0, math.sqrt(E) + 4.0)
-    gf, gc = grid_pair(L, 8192 if L <= 9.0 else 16384)
-    spec = refine_multi([(p, h, E)], gf, gc)[0]
+    spec = refine_multi([(p, h, E)], Grid(L, 8191 if L <= 9.0 else 16383))[0]
     lam = spec.eigenvalues + spec.eigenvalues_lo
     return float(np.sum(f(lam)))
 
@@ -128,8 +118,6 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
     For a bump the xi integral is a Gauss-Legendre sum at two orders; their
     difference is its error estimate, checked like the outer one.
     """
-    if f.amplitude == 0.0:
-        return 0.0
     breaks = [-4.0, -3.0, -2.0, 2.0, 3.0, 4.0]
     if f.kind == "exponential":
         s = f.scale
@@ -144,7 +132,7 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
                         limit=400, points=breaks)
         if err > abs_tol:
             raise PreconditionError(f"outer quadrature error {err:.2e} above {abs_tol:.1e}")
-        return f.amplitude * xi_factor * val
+        return xi_factor * val
     # bump: energies inside (bot, top) only
     bot, top = f.center - f.half_width, f.center + f.half_width
     x_max = math.sqrt(max(top, 0.0)) + 1e-9
@@ -181,7 +169,6 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
 class WeylFit:
     a0_fit: float
     a1_fit: float
-    a2_fit: float
     a0_quadrature: float
     max_fit_residual: float
     h_list: list[float]
@@ -212,7 +199,7 @@ def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None) 
     resid = float(np.max(np.abs(A @ coef - y)))
     a0q = weyl_term(p, f)
     return WeylFit(a0_fit=float(coef[0]), a1_fit=float(coef[1]),
-                   a2_fit=float(coef[2]), a0_quadrature=a0q,
+                   a0_quadrature=a0q,
                    max_fit_residual=resid,
                    h_list=hs, nu_values=nus)
 
@@ -232,8 +219,8 @@ class GapEntry:
 
 
 def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
-                         p_minus: PotentialSpec, grids: tuple[Grid, Grid]) -> GapEntry:
-    """Max per-index eigenvalue distance D below E on a shared grid pair.
+                         p_minus: PotentialSpec, grid: Grid) -> GapEntry:
+    """Max per-index eigenvalue distance D below E on ``grid`` and ``grid.coarse()``.
 
     D is the largest |Richardson-refined gap| over the paired levels, and
     its error estimate is |fine - coarse| / 3 of that gap plus rounding.
@@ -242,10 +229,9 @@ def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
     window with no common level is an error, never a zero distance, and
     so is a grid whose V(L) is below E + 10 (``GridMarginError``).
     """
-    gf, gc = grids
     pair = (p_plus, p_minus)
-    sf = eigenvalues_below_multi([discretize(p, h, gf) for p in pair], [E, E])
-    sc = eigenvalues_below_multi([discretize(p, h, gc) for p in pair], [E, E])
+    sf, sc = (eigenvalues_below_multi([discretize(p, h, g) for p in pair], [E, E])
+              for g in (grid, grid.coarse()))
     g_f = sf[0].gaps_to(sf[1])
     g_c = sc[0].gaps_to(sc[1])
     m = min(g_f.size, g_c.size)
@@ -317,14 +303,14 @@ class GapCurve:
 
 
 def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
-              grids: tuple[Grid, Grid], window: str | float = "ground") -> GapCurve:
-    """Spectral distance per h on one grid pair, noise floor, and the decay fit.
+              grid: Grid, window: str | float = "ground") -> GapCurve:
+    """Spectral distance per h on one grid, noise floor, and the decay fit.
 
-    Each h gives one ``isospectral_distance`` entry on ``grids`` (fine,
-    coarse).  window='ground' tracks exactly the ground level per h
-    (E = 2h), which keeps one fixed eigenvalue branch under the sup and
-    avoids spurious jumps when a new level enters a fixed window; a numeric
-    window is used verbatim for every h.  The noise floor is
+    Each h gives one ``isospectral_distance`` entry on ``grid``.
+    window='ground' tracks exactly the ground level per h (E = 2h), which
+    keeps one fixed eigenvalue branch under the sup and avoids spurious
+    jumps when a new level enters a fixed window; a numeric window is used
+    verbatim for every h.  The noise floor is
     max(1e-12, 10 * the largest error estimate); entries above it are
     usable, and five or more usable entries are fitted by ``fit_gap_decay``.
     An empty h_list or a window without a common level (in ground mode:
@@ -337,7 +323,7 @@ def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
 
     entries = []
     for h, E in zip(hs, Es):
-        e = isospectral_distance(h, E, p_plus, p_minus, grids)
+        e = isospectral_distance(h, E, p_plus, p_minus, grid)
         if window == "ground" and e.n_levels != 1:
             raise PreconditionError(
                 f"ground window E = {E} at h = {h} holds {e.n_levels} levels, not 1")

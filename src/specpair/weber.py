@@ -208,9 +208,6 @@ class WeberPropertyReport:
     max_residual: float
     boundary_case: bool
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _ode_residual(w: WeberSolution) -> float:
     """Max relative defect of -W'' + (x^2 - lam) W over the dense grid.
@@ -311,9 +308,7 @@ def check_properties(w: WeberSolution) -> WeberPropertyReport:
 @dataclass
 class IdentityReport:
     sup_left: float               # sup |u1 - W| on [X_LEFT, -3]
-    argmax_left: float
     sup_right: float              # sup |u1 - c W(-.)| on [-2, 4]
-    argmax_right: float
     deriv_mismatch: float         # |u1'(-a) + c W'(a)|
 
     @property
@@ -331,15 +326,12 @@ def c_identities(w: WeberSolution, u1: DenseSolution) -> IdentityReport:
     c = w.c
 
     xs_l = np.arange(X_LEFT, -3.0 + 1e-12, DENSE_STEP)
-    diff_l = np.abs(np.asarray(u1(xs_l)) - w.value(xs_l))
-    i_l = int(np.argmax(diff_l))
+    sup_l = np.max(np.abs(np.asarray(u1(xs_l)) - w.value(xs_l)))
 
     xs_r = np.arange(-2.0, 4.0 + 1e-12, DENSE_STEP)
-    diff_r = np.abs(np.asarray(u1(xs_r)) - c * w.value(-xs_r))
-    i_r = int(np.argmax(diff_r))
+    sup_r = np.max(np.abs(np.asarray(u1(xs_r)) - c * w.value(-xs_r)))
 
     dmis = abs(float(u1.derivative(-w.a)) + c * float(w.derivative(w.a)))
 
-    return IdentityReport(sup_left=float(diff_l[i_l]), argmax_left=float(xs_l[i_l]),
-                          sup_right=float(diff_r[i_r]), argmax_right=float(xs_r[i_r]),
+    return IdentityReport(sup_left=float(sup_l), sup_right=float(sup_r),
                           deriv_mismatch=dmis)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from specpair.potential import BumpSpec, PotentialSpec, default_pair, harmonic
-from specpair.eigensolve import grid_pair, refine_multi
+from specpair.eigensolve import Grid, refine_multi
 from specpair.hadamard import (
     asymmetry_witness,
     constant_direction_sanity,
@@ -34,7 +34,6 @@ from specpair.traces import (
     weyl_term,
 )
 from specpair.weber import c_identities, check_properties
-from specpair.eigensolve import Grid
 
 
 def report(num: int, name: str, passed: bool, detail: str):
@@ -47,14 +46,14 @@ def report(num: int, name: str, passed: bool, detail: str):
 def sweep():
     plus, minus = default_pair()
     return gap_sweep(plus, minus, np.geomspace(0.25, 1.0, 12),
-                     grids=grid_pair(8.0, 4096))
+                     Grid(8.0, 4095))
 
 
 def test_criterion_01_harmonic_exactness():
-    grids = grid_pair(8.0, 16000)
+    grid = Grid(8.0, 15999)
     hs = (1.0, 0.5, 0.1)
     t0 = time.perf_counter()
-    specs = refine_multi([(harmonic(), h, 20.4 * h) for h in hs], *grids)
+    specs = refine_multi([(harmonic(), h, 20.4 * h) for h in hs], grid)
     elapsed = time.perf_counter() - t0
     worst = 0.0
     for h, spec in zip(hs, specs):
@@ -68,7 +67,7 @@ def test_criterion_01_harmonic_exactness():
 
 def test_criterion_02_exact_reflection_isospectrality():
     p = PotentialSpec(t=0.0, eps=0.05)
-    d = isospectral_distance(1.0, 20.0, p, p.reflected(), grid_pair(8.0, 4096)).D
+    d = isospectral_distance(1.0, 20.0, p, p.reflected(), Grid(8.0, 4095)).D
     report(2, "mirror pair distance at t = 0", d <= 1e-11,
            f"distance = {d:.2e} (tol 1e-11)")
 
@@ -188,10 +187,10 @@ def test_criterion_08_trace_invariants():
 
 def test_criterion_09_cross_method_oracle():
     plus, minus = default_pair()
-    grids = grid_pair(8.0, 16000)
+    grid = Grid(8.0, 15999)
     hs = (1.0, 0.5, 0.25)
     entries = [(p, h, 20.4 * h + 0.2) for h in hs for p in (plus, minus)]
-    specs = refine_multi(entries, *grids)
+    specs = refine_multi(entries, grid)
     shoot_est = 2e-8
     worst_ratio = 0.0
     worst_detail = ""
@@ -210,10 +209,10 @@ def test_criterion_09_cross_method_oracle():
 
 def test_criterion_10_ground_state_above_h():
     plus, minus = default_pair()
-    grids = grid_pair(8.0, 16000)
+    grid = Grid(8.0, 15999)
     hs = (0.7, 0.85, 1.0)
     entries = [(p, h, 2.5 * h) for h in hs for p in (plus, minus)]
-    specs = refine_multi(entries, *grids)
+    specs = refine_multi(entries, grid)
     margins = []
     ok = True
     for (p, h, _), spec in zip(entries, specs):

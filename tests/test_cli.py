@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from specpair import cli, eigensolve, hadamard
+from specpair import cli, eigensolve, errors, hadamard
 from specpair.errors import PreconditionError
 from specpair.potential import PotentialSpec
 
@@ -182,6 +182,7 @@ def test_unknown_config_key_is_an_error(tmp_path, bad, key):
     ({"h": "1"}, "h", "validate"),
     ({"E_window": 0.5}, "E_window", "spectrum"),    # below lambda_1 >= h = 1
     ({"grid": {"intervals": 6}}, "grid.intervals", "hadamard-check"),   # no node meets beta
+    ({"grid": {"intervals": 8}}, "grid.intervals", "spectrum"),   # coarse grid n = 3
 ])
 def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experiment):
     with pytest.raises(PreconditionError, match=rf"^{re.escape(key)}\b"):
@@ -189,6 +190,20 @@ def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experimen
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
     assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("potential", [{}, {"t": 0.0, "eps": 0.0}])
+@pytest.mark.parametrize("experiment", ["spectrum", "gap-sweep", "hadamard-check", "validate"])
+def test_smallest_grid_gives_a_report_or_a_typed_error(tmp_path, experiment, potential):
+    # 16 intervals is the smallest grid with a Richardson partner (n = 15 and
+    # 7); the bare oscillator's parity blocks there have 3 and 4 rows
+    config = {"grid": {"intervals": 16}, "potential": potential}
+    try:
+        rep = cli.run(config, experiment, out_dir=tmp_path)
+    except Exception as exc:   # noqa: BLE001 - any error must be one of errors.py's
+        assert type(exc).__module__ == errors.__name__, repr(exc)
+    else:
+        assert rep.assertions
 
 
 @pytest.mark.parametrize("bad, key", [

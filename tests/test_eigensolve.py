@@ -15,7 +15,6 @@ from specpair.eigensolve import (
     discretize,
     eigenvalues_below,
     eigenvector,
-    grid_pair,
     refine,
 )
 
@@ -30,12 +29,33 @@ def test_grid_nodes_exactly_symmetric():
     assert g.dx == pytest.approx(16.0 / 4096, rel=1e-16)
 
 
-def test_grid_pair_ratio():
-    gf, gc = grid_pair(8.0, 4096)
-    assert gf.n == 4095 and gc.n == 2047
+def test_coarse_grid_ratio():
+    gf = Grid(8.0, 4095)
+    gc = gf.coarse()
+    assert gc == Grid(8.0, 2047)
     assert gf.n + 1 == 2 * (gc.n + 1)
-    with pytest.raises(PreconditionError):
-        grid_pair(8.0, 4097)
+    assert gc.coarse().coarse() == Grid(8.0, 511)
+    with pytest.raises(PreconditionError, match=r"Grid\(L=8\.0, n=4096\)"):
+        Grid(8.0, 4096).coarse()
+
+
+@pytest.mark.parametrize("intervals", [16, 2048, 4096, 8192, 16000, 16384])
+def test_coarse_grid_is_every_other_node(intervals):
+    g = Grid(8.0, intervals - 1)
+    c = g.coarse()
+    assert c.dx == 2.0 * g.dx
+    assert np.array_equal(c.nodes(), g.nodes()[1::2])
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_grid_needs_seven_points(n):
+    # so that every parity block of a mirror-symmetric operator has >= 3 rows
+    message = f"at least 7 interior points, got {n}"
+    with pytest.raises(PreconditionError, match=message):
+        Grid(8.0, n)
+    fine = Grid(8.0, 2 * n + 1)
+    with pytest.raises(PreconditionError, match=message):
+        fine.coarse()
 
 
 def test_discretize_entries():
@@ -62,7 +82,7 @@ def test_margin_guard_in_eigenvalues_below_and_refine():
     with pytest.raises(GridMarginError, match="increase L"):
         eigenvalues_below(T, 10.0)
     with pytest.raises(GridMarginError, match="increase L"):
-        refine(harmonic(), 1.0, 10.0, *grid_pair(4.0, 512))
+        refine(harmonic(), 1.0, 10.0, Grid(4.0, 511))
     assert len(eigenvalues_below(T, 10.0, check_margin=False)) == 5
 
 
@@ -241,11 +261,10 @@ def test_splitting_below_the_floor_does_not_depend_on_the_bracket(monkeypatch):
     # below the gap-sweep floor; a 1e4 times tighter bracket moves it only in
     # rounding because the polish corrects about inverse iteration's estimate
     plus, minus = default_pair()
-    gf, gc = grid_pair(8.0, 4096)
+    g = Grid(8.0, 4095)
 
     def splitting():
-        return float(refine(plus, 0.25, 0.5, gf, gc).gaps_to(
-            refine(minus, 0.25, 0.5, gf, gc))[0])
+        return float(refine(plus, 0.25, 0.5, g).gaps_to(refine(minus, 0.25, 0.5, g))[0])
 
     wide = splitting()
     monkeypatch.setattr(eigensolve, "BRACKET_REL", 1e-9)
@@ -276,21 +295,10 @@ def test_unrefined_error_estimate_is_the_residual_floor(h, E):
 
 
 def test_refine_harmonic_accuracy():
-    gf, gc = grid_pair(8.0, 4096)
-    spec = refine(harmonic(), 1.0, 10.0, gf, gc)
+    spec = refine(harmonic(), 1.0, 10.0, Grid(8.0, 4095))
     lam = spec.eigenvalues + spec.eigenvalues_lo
     np.testing.assert_allclose(lam, [1, 3, 5, 7, 9], atol=2e-9, rtol=0)
     assert np.all(spec.error_estimate >= 0.0)
-
-
-def test_refine_grid_preconditions():
-    g = Grid(8.0, 4095)
-    with pytest.raises(PreconditionError):
-        refine(harmonic(), 1.0, 10.0, g, g)
-    with pytest.raises(PreconditionError):
-        refine(harmonic(), 1.0, 10.0, g, Grid(8.0, 2046))
-    with pytest.raises(PreconditionError):
-        refine(harmonic(), 1.0, 10.0, g, Grid(6.0, 2047))
 
 
 def test_eigenvector_ground_state_gaussian():
@@ -342,22 +350,20 @@ def test_ground_state_monotone_in_t():
 
 
 def test_ground_state_above_h_with_bumps():
-    gf, gc = grid_pair(8.0, 8192)
     p, _ = default_pair()
-    spec = refine(p, 0.85, 2.0, gf, gc)
+    spec = refine(p, 0.85, 2.0, Grid(8.0, 8191))
     assert spec.value(1) > 0.85 + 10.0 * float(spec.error_estimate[0])
 
 
 def test_ground_state_at_h_bare():
-    gf, gc = grid_pair(8.0, 4096)
-    spec = refine(harmonic(), 0.85, 2.0, gf, gc)
+    spec = refine(harmonic(), 0.85, 2.0, Grid(8.0, 4095))
     assert abs(spec.value(1) - 0.85) <= max(float(spec.error_estimate[0]), 1e-11)
 
 
 @pytest.mark.parametrize("j", [0, -1, 4])
 def test_spectrum_value_outside_the_window_is_an_error(j):
     # value(0) used to return the top level, value(4) a bare IndexError
-    spec = refine(harmonic(), 1.0, 6.0, *grid_pair(8.0, 1024))
+    spec = refine(harmonic(), 1.0, 6.0, Grid(8.0, 1023))
     assert len(spec) == 3
     assert spec.value(3) == pytest.approx(5.0, abs=1e-6)
     with pytest.raises(PreconditionError, match=rf"j = {j} is outside 1\.\.3"):
@@ -394,7 +400,8 @@ def _seeds(spec):
        k=st.integers(1, 6))
 def test_seeded_levels_match_bisection(t, eps, reflect, h, half, k):
     p = PotentialSpec(t=t, eps=eps, reflect_beta=reflect)
-    gf, gc = grid_pair(8.0, 2 * half)
+    gf = Grid(8.0, 2 * half - 1)
+    gc = gf.coarse()
     # a window edge midway between two coarse levels holds the same levels
     # on both grids
     lam_c = _seeds(eigenvalues_below(discretize(p, h, gc), (2 * k + 4) * h))
@@ -413,7 +420,8 @@ def test_seeded_levels_match_bisection(t, eps, reflect, h, half, k):
 @pytest.mark.parametrize("p", [default_pair()[0], harmonic()])
 @pytest.mark.parametrize("edit", ["drop", "duplicate"])
 def test_seeds_missing_or_repeating_a_level_raise(p, edit):
-    gf, gc = grid_pair(8.0, 2048)
+    gf = Grid(8.0, 2047)
+    gc = gf.coarse()
     seeds = _seeds(eigenvalues_below(discretize(p, 1.0, gc), 10.0))
     assert seeds.size == 5
     if edit == "drop":
@@ -428,12 +436,12 @@ def test_refine_falls_back_to_bisection_when_seeds_fail():
     # on this coarse pair the seeded polish runs out of inverse iteration steps
     p = PotentialSpec(t=0.16263274783891218, eps=0.16402780832539135, reflect_beta=True)
     h, E = 0.25, 2.8284595777386414
-    gf, gc = grid_pair(8.0, 256)
-    Tf, Tc = discretize(p, h, gf), discretize(p, h, gc)
+    gf = Grid(8.0, 255)
+    Tf, Tc = discretize(p, h, gf), discretize(p, h, gf.coarse())
     coarse = eigenvalues_below(Tc, E)
     with pytest.raises(ConvergenceError):
         eigensolve._levels(Tf, E, seeds=_seeds(coarse))
-    got = refine(p, h, E, gf, gc)
+    got = refine(p, h, E, gf)
     want = eigensolve._richardson_combine(eigenvalues_below(Tf, E), coarse)
     np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
     np.testing.assert_array_equal(got.eigenvalues_lo, want.eigenvalues_lo)
@@ -463,10 +471,10 @@ def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
     monkeypatch.setattr(eigensolve, "dgttrf", counted_dgttrf)
     monkeypatch.setattr(eigensolve, "dgttrs", counted_dgttrs)
     monkeypatch.setattr(eigensolve, "eigvalsh_tridiagonal", recorded_stebz)
-    gf, gc = grid_pair(8.0, 16384)
-    spec = refine(p, h, E, gf, gc)
+    gf = Grid(8.0, 16383)
+    spec = refine(p, h, E, gf)
     Tf = discretize(p, h, gf)
-    n_f, n_c = count_below(Tf, E), count_below(discretize(p, h, gc), E)
+    n_f, n_c = count_below(Tf, E), count_below(discretize(p, h, gf.coarse()), E)
     assert len(spec) == n_f == n_c
     assert len(factorizations) == n_f + n_c
     # shifted by how far the previous level of its block moved, a seed needs

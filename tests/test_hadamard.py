@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ def test_witness_needs_a_grid_with_a_half_resolution_partner():
     level = solve_level(PotentialSpec(t=0.05, eps=0.0), 1.0, 1, Grid(8.0, 4096))
     with pytest.raises(PreconditionError, match=r"Grid\(L=8\.0, n=4096\)"):
         asymmetry_witness(level, TAIL)
+
+
+@pytest.mark.parametrize("config", [
+    {"grid": {"intervals": 16}},   # dx = 1: no node inside beta's support (3, 4)
+    {"potential": {"beta": {"center": 3.5, "half_width": 0.5, "amplitude": 0.0}}},
+])
+def test_variation_check_needs_a_bump_the_grid_sees(tmp_path, config):
+    # the formula and the oracle were both 0 and hadamard-check divided by zero
+    grid = cli.ExperimentConfig.from_dict(config).grid()
+    message = rf"{re.escape(str(grid))}: support \(3\.0, 4\.0\)"
+    with pytest.raises(PreconditionError, match=message):
+        cli.run(config, "hadamard-check", out_dir=tmp_path)
 
 
 def test_witness_with_alpha_bump_significant():

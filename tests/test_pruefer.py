@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from specpair import _rk, cli, pruefer
 from specpair.errors import ConvergenceError, PreconditionError
 from specpair.potential import PotentialSpec, default_pair, harmonic
-from specpair.eigensolve import grid_pair, refine
+from specpair.eigensolve import Grid, refine
 from specpair.pruefer import (
     CoefficientQ,
     compare_angles,
@@ -130,8 +130,7 @@ def test_shoot_invalid_j():
 
 def test_shoot_matches_matrix_for_perturbed_pair():
     p, _ = default_pair()
-    gf, gc = grid_pair(8.0, 4096)
-    spec = refine(p, 1.0, 4.0, gf, gc)
+    spec = refine(p, 1.0, 4.0, Grid(8.0, 4095))
     shot = shoot_eigenvalue(p, 1.0, 1, 8.0)
     combined = float(spec.error_estimate[0]) + 6e-9
     assert abs(spec.value(1) - shot) <= 10.0 * combined
