@@ -275,10 +275,12 @@ fig.savefig("gap_decay.png", dpi=150)
 
 
 def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
-    if cfg.potential.eps == 0.0:
-        raise PreconditionError(
-            "gap-sweep needs potential.eps != 0: at eps = 0 both members are the "
-            "same operator, so there is no splitting to measure")
+    pot = cfg.potential
+    for key, value in (("eps", pot.eps), ("beta.amplitude", pot.beta.amplitude)):
+        if value == 0.0:
+            raise PreconditionError(
+                f"gap-sweep needs potential.{key} != 0: at {key} = 0 both members are "
+                "the same operator, so there is no splitting to measure")
     plus, minus = cfg.pair()
     curve = traces.gap_sweep(plus, minus, cfg.h_list, cfg.grid(), window=cfg.gap_window)
     rep.tables["distance"] = [

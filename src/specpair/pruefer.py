@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _rk
 from .errors import BracketError, PreconditionError, check_root
@@ -263,6 +262,10 @@ def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,
     ConvergenceError.  Serves as an oracle that is independent of the
     matrix path.
     """
+    # imported here, not at module level: only the shooting experiments pay
+    # for loading scipy.optimize
+    from scipy.optimize import brentq
+
     if j < 1:
         raise PreconditionError(f"j must be >= 1, got {j}")
     target = j * math.pi
@@ -276,12 +279,14 @@ def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,
     lo = max(base - 1.2 * h, 1e-12)
     hi = base + 1.2 * h + (p.t + p.eps) * 1.0 + 0.1
     for _ in range(12):
-        if g(hi) > 0.0:
+        g_hi = g(hi)
+        if g_hi > 0.0:
             break
         hi = hi + max(h, 1.0)
     else:
         raise BracketError(f"no bracket for j = {j} below lam = {hi:.6g}")
-    lam, res = brentq(g, lo, hi, xtol=lam_tol, rtol=8.0 * np.finfo(float).eps,
-                      full_output=True, disp=False)
+    # brentq evaluates its f(b) again; hand it the bracket's own value
+    lam, res = brentq(lambda x: g_hi if x == hi else g(x), lo, hi, xtol=lam_tol,
+                      rtol=8.0 * np.finfo(float).eps, full_output=True, disp=False)
     check_root(res, f"shoot_eigenvalue (j = {j})", lo, hi)
     return float(lam)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .eigensolve import Grid, discretize, eigenvalues_below_multi, refine_multi
 from .errors import PreconditionError, WindowCapError, check_real
@@ -118,6 +117,9 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
     For a bump the xi integral is a Gauss-Legendre sum at two orders; their
     difference is its error estimate, checked like the outer one.
     """
+    # imported here, not at module level: only trace pays for loading scipy.integrate
+    from scipy.integrate import quad
+
     breaks = [-4.0, -3.0, -2.0, 2.0, 3.0, 4.0]
     if f.kind == "exponential":
         s = f.scale

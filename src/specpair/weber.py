@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import pruefer
 from .errors import ConvergenceError, PreconditionError, check_root
@@ -72,6 +70,10 @@ def _asymptotic_seed(lam: float, x: float) -> tuple[float, float]:
 
 def _decaying_solution(v, lam: float, x_right: float):
     """Dense interpolant of -y'' + (v(x) - lam) y = 0 decaying at X_LEFT."""
+    # imported here, not at module level: only the Weber matching pays for
+    # loading scipy.integrate
+    from scipy.integrate import solve_ivp
+
     def rhs(x, y):
         return [y[1], (v(x) - lam) * y[0]]
 
@@ -134,6 +136,8 @@ def solve_weber(lambda1: float, u1: DenseSolution) -> WeberSolution:
     sides, and rounding noise must excite the growing branch near x ~ 6, so
     the sampled window is trimmed to the representable part.
     """
+    from scipy.optimize import brentq
+
     if not (1.0 <= lambda1 < 3.0):
         raise PreconditionError(f"need 1 <= lambda1 < 3, got {lambda1}")
     boundary = (lambda1 == 1.0)

@@ -124,6 +124,18 @@ def test_gap_sweep_without_beta_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "gap-sweep_distance.csv").exists()
 
 
+def test_gap_sweep_with_a_flat_beta_bump_is_a_config_error(tmp_path, capsys):
+    # a beta bump of amplitude 0 is the same degenerate pair as eps = 0
+    cfg = tmp_path / "cfg.json"
+    flat = {"potential": {"beta": {"center": 3.5, "half_width": 0.5, "amplitude": 0.0}}}
+    cfg.write_text(json.dumps({**flat, "h_list": [0.5, 0.7, 1.0]}))
+    assert run_cli(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "potential.beta.amplitude" in capsys.readouterr().err
+    assert not (tmp_path / "gap-sweep_distance.csv").exists()
+    with pytest.raises(PreconditionError, match=r"potential\.beta\.amplitude"):
+        cli.run(flat, "gap-sweep", out_dir=tmp_path)
+
+
 def test_gap_sweep_empty_window_is_an_error(tmp_path):
     # E = 0.5 holds no level once h > 0.5: an error, not "below the noise floor"
     cfg = tmp_path / "cfg.json"

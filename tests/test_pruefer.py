@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from specpair import _rk, cli, pruefer
@@ -112,10 +113,31 @@ def test_angle_end_step_collapse_raises():
 
 
 def test_shoot_non_convergence_is_typed(monkeypatch):
-    brentq = pruefer.brentq
-    monkeypatch.setattr(pruefer, "brentq", lambda *a, **k: brentq(*a, **k, maxiter=3))
+    brentq = scipy.optimize.brentq
+    monkeypatch.setattr(scipy.optimize, "brentq", lambda *a, **k: brentq(*a, **k, maxiter=3))
     with pytest.raises(ConvergenceError, match=r"bracket \[.*\] after 3 iterations"):
         shoot_eigenvalue(harmonic(), 1.0, 1, 8.0)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_shoot_integrates_each_lam_once(monkeypatch, j):
+    # the bracket loop's last end angle is brentq's f(b); it is not integrated again
+    lams, calls = [], []
+    scalar_fn, angle_end = CoefficientQ.scalar_fn, _rk.angle_end
+
+    def recording_scalar_fn(q):
+        lams.append(q.lam)
+        return scalar_fn(q)
+
+    def counting_angle_end(*args):
+        calls.append(args)
+        return angle_end(*args)
+
+    monkeypatch.setattr(CoefficientQ, "scalar_fn", recording_scalar_fn)
+    monkeypatch.setattr(_rk, "angle_end", counting_angle_end)
+    lam = shoot_eigenvalue(default_pair()[0], 1.0, j, 8.0)
+    assert len(calls) == len(lams) == len(set(lams))
+    assert lam in lams
 
 
 def test_shoot_harmonic_levels():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from specpair import cli, weber
 from specpair.errors import ConvergenceError, PreconditionError
@@ -154,8 +155,8 @@ class _RightSkewed:
 
 def test_feature_root_non_convergence_is_typed(bundle, monkeypatch):
     lam1, u1, _ = bundle
-    brentq = weber.brentq
-    monkeypatch.setattr(weber, "brentq", lambda *a, **k: brentq(*a, **k, maxiter=1))
+    brentq = scipy.optimize.brentq
+    monkeypatch.setattr(scipy.optimize, "brentq", lambda *a, **k: brentq(*a, **k, maxiter=1))
     with pytest.raises(ConvergenceError, match="critical point of W.*after 1 iterations"):
         solve_weber(lam1, u1)
 
