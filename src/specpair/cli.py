@@ -20,7 +20,7 @@ import numpy as np
 
 from . import eigensolve, hadamard, pruefer, traces, weber
 from .eigensolve import Grid, discretize, eigenvalues_below, refine
-from .errors import PreconditionError, check_keys, check_real
+from .errors import PreconditionError, check_real, fill_defaults
 from .potential import BumpSpec, PotentialSpec, harmonic, validate
 
 DEFAULTS: dict = {
@@ -73,14 +73,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        merged = json.loads(json.dumps(DEFAULTS))
-        check_keys(d, DEFAULTS, "config")
-        for key, val in d.items():
-            if key in ("potential", "grid"):
-                check_keys(val, DEFAULTS[key], key)
-                merged[key].update(val)
-            else:
-                merged[key] = val
+        merged = fill_defaults(d, DEFAULTS, "")
         pot = PotentialSpec.from_dict(merged["potential"])
         g = merged["grid"]
         L = check_real(g["L"], "grid.L", positive=True)
@@ -276,7 +269,9 @@ fig.savefig("gap_decay.png", dpi=150)
 
 def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
     pot = cfg.potential
-    for key, value in (("eps", pot.eps), ("beta.amplitude", pot.beta.amplitude)):
+    # beta.center = 0 makes beta(x) = beta(-x)
+    for key, value in (("eps", pot.eps), ("beta.amplitude", pot.beta.amplitude),
+                       ("beta.center", pot.beta.center)):
         if value == 0.0:
             raise PreconditionError(
                 f"gap-sweep needs potential.{key} != 0: at {key} = 0 both members are "
@@ -549,23 +544,14 @@ def run(config: dict | ExperimentConfig, experiment: str,
 
 
 def _cli_config(args: argparse.Namespace) -> dict:
-    """The ``--config`` file's object with the command-line overrides merged in."""
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    check_keys(cfg, DEFAULTS, "config")
-
-    def merge(section: str, **values):
-        values = {k: v for k, v in values.items() if v is not None}
-        if values:
-            sub = cfg.get(section, {})
-            check_keys(sub, DEFAULTS[section], section)
-            cfg[section] = {**sub, **values}
-
-    merge("potential", t=args.t, eps=args.eps)
-    merge("grid", intervals=args.grid_n, L=args.grid_L)
-    if args.h is not None:
-        cfg["h"] = args.h
-    if args.out is not None:
-        cfg["out_dir"] = args.out
+    """The ``--config`` file's object, filled from ``DEFAULTS``, with the flags' overrides."""
+    cfg = fill_defaults(json.loads(Path(args.config).read_text()) if args.config else {},
+                        DEFAULTS, "")
+    for section, key, value in (("potential", "t", args.t), ("potential", "eps", args.eps),
+                                ("grid", "intervals", args.grid_n), ("grid", "L", args.grid_L),
+                                ("", "h", args.h), ("", "out_dir", args.out)):
+        if value is not None:
+            (cfg[section] if section else cfg)[key] = value
     return cfg
 
 

@@ -1,5 +1,6 @@
 """Shared exception types, config value checks and the root-finder check."""
 
+import copy
 import math
 import numbers
 
@@ -24,13 +25,27 @@ class BracketError(RuntimeError):
     """A root bracket could not be established."""
 
 
-def check_keys(d: dict, allowed, where: str) -> None:
-    """Raise PreconditionError naming the first key of ``d`` not in ``allowed``."""
+def fill_defaults(d: dict, defaults: dict, where: str) -> dict:
+    """``d`` with every key it lacks, at every depth, taken from ``defaults``.
+
+    ``where`` is the dotted path of ``d`` ("" at the config's root).  A
+    non-object where ``defaults`` holds an object, or a key ``defaults``
+    lacks, raises PreconditionError naming it.
+    """
     if not isinstance(d, dict):
-        raise PreconditionError(f"{where} must be an object, got {d!r}")
+        raise PreconditionError(f"{where or 'config'} must be an object, got {d!r}")
     for key in d:
-        if key not in allowed:
-            raise PreconditionError(f"unknown key {key!r} in {where}")
+        if key not in defaults:
+            raise PreconditionError(f"unknown key {key!r} in {where or 'config'}")
+    out = {}
+    for key, default in defaults.items():
+        if key not in d:
+            out[key] = copy.deepcopy(default)
+        elif isinstance(default, dict):
+            out[key] = fill_defaults(d[key], default, f"{where}.{key}" if where else key)
+        else:
+            out[key] = d[key]
+    return out
 
 
 def check_real(v, key: str, positive: bool = False) -> float:

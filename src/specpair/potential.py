@@ -11,13 +11,12 @@ extremely hard to tell apart spectrally.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import PreconditionError, check_keys, check_real
+from .errors import PreconditionError, check_real, fill_defaults
 
 __all__ = [
     "BumpSpec",
@@ -57,7 +56,9 @@ class BumpSpec:
 
     The profile is C^inf, vanishes identically outside
     ``(center - half_width, center + half_width)``, peaks at ``center`` with
-    value ``amplitude`` and is nonnegative everywhere.
+    value ``amplitude`` and is nonnegative everywhere.  It has two spellings
+    that may differ in the last bit: numpy's (``bump_eval``, for the matrix
+    path) and ``math``'s (``scalar``, for the shooting kernel).
     """
 
     center: float
@@ -80,18 +81,28 @@ class BumpSpec:
         u = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 20001)
         return float(np.max(np.abs(_mollifier_du(u))) * self.amplitude / self.half_width)
 
+    def scalar(self):
+        """The bump as a closure x -> float in ``math`` arithmetic, for scalar loops."""
+        c, w, a = self.center, self.half_width, self.amplitude
+
+        def bump(x: float) -> float:
+            u = (x - c) / w
+            if -1.0 < u < 1.0:
+                return a * math.exp(1.0 - 1.0 / (1.0 - u * u))
+            return 0.0
+
+        return bump
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "BumpSpec":
-        """A bump from its config object; ``where`` prefixes the key in errors."""
-        check_keys(d, ("center", "half_width", "amplitude"), where)
-        return cls(center=check_real(d.get("center"), f"{where}.center"),
-                   half_width=check_real(d.get("half_width"), f"{where}.half_width",
+        """A bump from its filled config object; ``where`` prefixes the key in errors."""
+        return cls(center=check_real(d["center"], f"{where}.center"),
+                   half_width=check_real(d["half_width"], f"{where}.half_width",
                                          positive=True),
-                   amplitude=check_real(d.get("amplitude", cls.amplitude),
-                                        f"{where}.amplitude"))
+                   amplitude=check_real(d["amplitude"], f"{where}.amplitude"))
 
 
 def _mollifier(u):
@@ -168,15 +179,10 @@ class PotentialSpec:
             "beta": self.beta.to_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
-        """A potential from its config object; a missing key takes the field's default."""
-        defaults = cls().to_dict()
-        check_keys(d, defaults, "potential")
-        d = {**defaults, **d}
+        """A potential from its config object; a missing key, at any depth, takes its default."""
+        d = fill_defaults(d, cls().to_dict(), "potential")
         reflect = d["reflect_beta"]
         if not isinstance(reflect, bool):
             raise PreconditionError(
@@ -186,10 +192,6 @@ class PotentialSpec:
                    reflect_beta=reflect,
                    alpha=BumpSpec.from_dict(d["alpha"], "potential.alpha"),
                    beta=BumpSpec.from_dict(d["beta"], "potential.beta"))
-
-    @classmethod
-    def from_json(cls, s: str) -> "PotentialSpec":
-        return cls.from_dict(json.loads(s))
 
 
 def potential_eval(p: PotentialSpec, x):

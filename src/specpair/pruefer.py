@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _rk
 from .errors import BracketError, PreconditionError, check_root
-from .potential import PotentialSpec
+from .potential import PotentialSpec, harmonic
 
 __all__ = [
     "CoefficientQ",
@@ -40,19 +40,11 @@ MAX_STEP = 0.02          # their largest step, so traces sample the path densely
 COMPARE_TOL = 1e-9       # slack of the angle and solution orderings
 
 
-def _bump_scalar(center: float, half_width: float, amplitude: float, x: float) -> float:
-    u = (x - center) / half_width
-    if -1.0 < u < 1.0:
-        w = 1.0 - u * u
-        return amplitude * math.exp(1.0 - 1.0 / w)
-    return 0.0
-
-
 @dataclass(frozen=True)
 class CoefficientQ:
     """Coefficient Q(x) = (lam - V(x)) / h^2 of the angle equation.
 
-    ``potential=None`` means the bare oscillator V = x^2.  With a bump
+    The default potential is the bare oscillator V = x^2.  With a bump
     perturbation t*alpha >= 0 added, the perturbed coefficient lies below
     the unperturbed one pointwise, which drives the comparison results.
     Setting ``const`` overrides everything with Q(x) = const (useful for
@@ -60,31 +52,30 @@ class CoefficientQ:
     """
 
     lam: float
-    potential: PotentialSpec | None = None
+    potential: PotentialSpec = harmonic()
     h: float = 1.0
     const: float | None = None
 
     def scalar_fn(self):
-        """A fast scalar closure x -> Q(x)."""
+        """A fast scalar closure x -> Q(x), V's bumps in their ``math`` spelling."""
         if self.const is not None:
             cval = float(self.const)
             return lambda x: cval
         lam = self.lam
         inv_h2 = 1.0 / (self.h * self.h)
         p = self.potential
-        if p is None or (p.t == 0.0 and p.eps == 0.0):
+        if p.t == 0.0 and p.eps == 0.0:
             return lambda x: (lam - x * x) * inv_h2
 
         t, eps, reflect = p.t, p.eps, p.reflect_beta
-        ac, aw, aa = p.alpha.center, p.alpha.half_width, p.alpha.amplitude
-        bc, bw, ba = p.beta.center, p.beta.half_width, p.beta.amplitude
+        alpha, beta = p.alpha.scalar(), p.beta.scalar()
 
         def q(x: float) -> float:
             v = x * x
             if t != 0.0:
-                v += t * _bump_scalar(ac, aw, aa, x)
+                v += t * alpha(x)
             if eps != 0.0:
-                v += eps * _bump_scalar(bc, bw, ba, -x if reflect else x)
+                v += eps * beta(-x if reflect else x)
             return (lam - v) * inv_h2
 
         return q

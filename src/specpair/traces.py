@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigensolve import Grid, discretize, eigenvalues_below_multi, refine_multi
 from .errors import PreconditionError, WindowCapError, check_real
-from .potential import PotentialSpec, _mollifier, potential_eval
+from .potential import BumpSpec, PotentialSpec, bump_eval, potential_eval
 
 __all__ = [
     "TestFunction",
@@ -44,7 +44,7 @@ class TestFunction:
     """Nonnegative test function of energy: decaying exponential or bump.
 
     kind='exponential': f(E) = exp(-scale * E), scale > 0.
-    kind='bump': the mollifier of ``potential`` in E on
+    kind='bump': the unit-amplitude ``BumpSpec`` profile in E on
     (center - half_width, center + half_width), half_width > 0.
     Every parameter must be a finite number.
     """
@@ -68,7 +68,7 @@ class TestFunction:
         if self.kind == "exponential":
             out = np.exp(-self.scale * E)
         else:
-            out = _mollifier((E - self.center) / self.half_width)
+            out = bump_eval(BumpSpec(self.center, self.half_width), E)
         return float(out) if out.ndim == 0 else out
 
     def window_for_tail(self, h: float) -> float:
@@ -114,13 +114,16 @@ def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
 def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> float:
     """Phase-space integral of f(xi^2 + V(x)) dx dxi by adaptive quadrature in x.
 
-    For a bump the xi integral is a Gauss-Legendre sum at two orders; their
-    difference is its error estimate, checked like the outer one.
+    The outer quadrature breaks at the edges of both bumps' supports and
+    their mirror images, where V is smooth but not analytic.  For a bump the
+    xi integral is a Gauss-Legendre sum at two orders; their difference is
+    its error estimate, checked like the outer one.
     """
     # imported here, not at module level: only trace pays for loading scipy.integrate
     from scipy.integrate import quad
 
-    breaks = [-4.0, -3.0, -2.0, 2.0, 3.0, 4.0]
+    edges = [e for b in (p.alpha, p.beta) for e in b.support]
+    breaks = sorted({*edges, *(-e for e in edges)})
     if f.kind == "exponential":
         s = f.scale
         # the xi integral of e^{-s xi^2} separates off exactly

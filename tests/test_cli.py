@@ -136,6 +136,30 @@ def test_gap_sweep_with_a_flat_beta_bump_is_a_config_error(tmp_path, capsys):
         cli.run(flat, "gap-sweep", out_dir=tmp_path)
 
 
+def test_gap_sweep_with_a_centred_beta_bump_is_a_config_error(tmp_path):
+    # beta centred at 0 is even, so beta(x) = beta(-x): one operator, D = 0
+    centred = {"potential": {"beta": {"center": 0.0, "half_width": 0.5, "amplitude": 1.0}},
+               "h_list": [0.5, 0.7, 1.0]}
+    with pytest.raises(PreconditionError, match=r"potential\.beta\.center"):
+        cli.run(centred, "gap-sweep", out_dir=tmp_path)
+    assert not (tmp_path / "gap-sweep_distance.csv").exists()
+
+
+def test_a_partial_bump_takes_its_other_fields_from_the_default(tmp_path, capsys):
+    partial = {"potential": {"beta": {"amplitude": 0.0}}}
+    cfg = cli.ExperimentConfig.from_dict(partial)
+    assert cfg.potential == replace(PotentialSpec(), beta=replace(PotentialSpec().beta,
+                                                                  amplitude=0.0))
+    assert cfg.raw["potential"]["beta"] == {"center": 3.5, "half_width": 0.5,
+                                            "amplitude": 0.0}
+    assert cfg.raw["potential"]["alpha"] == PotentialSpec().alpha.to_dict()
+    # ... and gap-sweep refuses it as a flat beta bump, naming the key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(partial))
+    assert run_cli(["gap-sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "potential.beta.amplitude" in capsys.readouterr().err
+
+
 def test_gap_sweep_empty_window_is_an_error(tmp_path):
     # E = 0.5 holds no level once h > 0.5: an error, not "below the noise floor"
     cfg = tmp_path / "cfg.json"

@@ -1,0 +1,61 @@
+"""A ratchet on who knows the bump: ``potential`` alone spells its profile.
+
+The checks read the package sources, so a second copy of the profile, a
+reach into ``potential``'s private names or a hard-coded support list fails
+here before it can drift from the one owner.
+"""
+
+import ast
+from pathlib import Path
+
+import specpair
+
+SRC = Path(specpair.__file__).parent
+PROFILE = "exp(1.0 - 1.0 /"
+
+
+def _modules() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_bump_profile_is_written_only_in_potential():
+    spelled = [name for name, text in _modules().items() if PROFILE in text]
+    assert spelled == ["potential"]
+
+
+def test_no_module_imports_a_private_name_of_potential():
+    reached = []
+    for name, text in _modules().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("potential",
+                                                                     "specpair.potential"):
+                reached += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "potential":
+                reached.append(f"{name}: potential.{node.attr}")
+    assert reached == []
+
+
+def _number(node) -> float | None:
+    """The value of a numeric literal (a leading minus allowed), else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _number(node.operand)
+        return None if inner is None else -inner
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    return None
+
+
+def test_weyl_term_holds_no_literal_support_list():
+    # a list of positions carries a sign or a fraction; the quadrature
+    # orders (128, 256) are neither
+    tree = ast.parse(_modules()["traces"])
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "weyl_term")
+    literals = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set)) and len(node.elts) >= 2:
+            values = [_number(e) for e in node.elts]
+            if None not in values and any(isinstance(v, float) or v < 0 for v in values):
+                literals.append(ast.unparse(node))
+    assert literals == []

@@ -155,7 +155,6 @@ def test_non_finite_strength_rejected(field, value):
 def test_json_round_trip():
     p = PotentialSpec(t=0.03, eps=0.08)
     assert validate(p).ok
-    q = PotentialSpec.from_json(p.to_json())
-    assert q == p
-    d = json.loads(p.to_json())
+    d = json.loads(json.dumps(p.to_dict()))
+    assert PotentialSpec.from_dict(d) == p
     assert set(d) == {"t", "eps", "reflect_beta", "alpha", "beta"}

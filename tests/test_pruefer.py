@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from specpair import _rk, cli, pruefer
 from specpair.errors import ConvergenceError, PreconditionError
-from specpair.potential import PotentialSpec, default_pair, harmonic
+from specpair.potential import BumpSpec, PotentialSpec, default_pair, harmonic, \
+    potential_eval
 from specpair.eigensolve import Grid, refine
 from specpair.pruefer import (
     CoefficientQ,
@@ -101,6 +102,26 @@ def test_angle_end_is_integrate_bit_for_bit(lam, h, t, eps, reflect, const, eps_
     qf = q.scalar_fn()
     got = _rk.angle_end(qf, -8.0, 8.0, eps_per_length, 0.05)
     assert got.hex() == integrate_end_angle(qf, -8.0, 8.0, eps_per_length, 0.05).hex()
+
+
+BUMPS = st.builds(BumpSpec, center=st.floats(-5.0, 5.0), half_width=st.floats(0.01, 3.0),
+                  amplitude=st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=BUMPS, beta=BUMPS, t=st.floats(0.0, 2.0), eps=st.floats(0.0, 2.0),
+       reflect=st.booleans(), data=st.data())
+def test_shooting_kernel_and_matrix_path_spell_the_same_potential(alpha, beta, t, eps,
+                                                                   reflect, data):
+    # Q's bumps use math.exp and potential_eval's numpy's exp: they may
+    # differ in the last bit, nowhere by more
+    p = PotentialSpec(t=t, eps=eps, reflect_beta=reflect, alpha=alpha, beta=beta)
+    edges = [s * e for b in (alpha, beta) for e in b.support for s in (-1.0, 1.0)]
+    near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    x = data.draw(st.floats(-8.0, 8.0) | st.sampled_from(edges + near), label="x")
+    v = potential_eval(p, x)
+    got = -CoefficientQ(lam=0.0, potential=p).scalar_fn()(x)
+    assert abs(got - v) <= 4.0 * math.ulp(max(1.0, v))
 
 
 def test_angle_end_step_collapse_raises():

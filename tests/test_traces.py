@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from specpair import eigensolve
 from specpair.errors import PreconditionError, WindowCapError
-from specpair.potential import PotentialSpec, default_pair, harmonic
+from specpair.potential import BumpSpec, PotentialSpec, default_pair, harmonic
 from specpair.eigensolve import Grid
 from specpair.traces import (
     GapEntry,
@@ -124,6 +124,23 @@ def test_weyl_term_bump_checks_both_error_estimates(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: leggauss(n // 32))
     with pytest.raises(PreconditionError, match="inner"):
         weyl_term(harmonic(), F_BUMP)
+
+
+def test_weyl_term_breaks_at_the_bumps_support_edges(monkeypatch):
+    import scipy.integrate
+    seen = []
+
+    def fake_quad(g, a, b, points=None, **kwargs):
+        seen.append(list(points))
+        return 0.0, 0.0
+
+    monkeypatch.setattr(scipy.integrate, "quad", fake_quad)
+    weyl_term(PotentialSpec(), F_EXP)
+    # alpha on (-3, -2.25) and beta on (3, 3.5): edges and mirror images, once each
+    moved = PotentialSpec(alpha=BumpSpec(center=-2.625, half_width=0.375),
+                          beta=BumpSpec(center=3.25, half_width=0.25))
+    weyl_term(moved, F_EXP)
+    assert seen == [[-4.0, -3.0, -2.0, 2.0, 3.0, 4.0], [-3.5, -3.0, -2.25, 2.25, 3.0, 3.5]]
 
 
 def test_weyl_term_pair_equality():
