@@ -59,8 +59,7 @@ def _out_dir(v) -> str:
 @dataclass
 class ExperimentConfig:
     potential: PotentialSpec
-    grid_L: float
-    grid_intervals: int
+    grid: Grid    # the fine grid, intervals - 1 interior points; its partner is coarse()
     h: float
     h_list: list[float]
     E_window: float
@@ -79,7 +78,8 @@ class ExperimentConfig:
         L = check_real(g["L"], "grid.L", positive=True)
         intervals = _count(g["intervals"], "grid.intervals")
         try:
-            Grid(L, intervals - 1).coarse()
+            grid = Grid(L, intervals - 1)
+            grid.coarse()
         except PreconditionError as exc:
             raise PreconditionError(
                 f"grid.intervals = {intervals} has no Richardson pair: {exc}") from None
@@ -91,17 +91,13 @@ class ExperimentConfig:
         gw = merged["gap_window"]
         if gw != "ground":
             gw = check_real(gw, "gap_window", positive=True)
-        return cls(potential=pot, grid_L=L, grid_intervals=intervals, h=h,
+        return cls(potential=pot, grid=grid, h=h,
                    h_list=_positive_list(merged["h_list"], "h_list"),
                    E_window=E_window, gap_window=gw,
                    eps_fd=check_real(merged["eps_fd"], "eps_fd", positive=True),
                    shoot_h_list=_positive_list(merged["shoot_h_list"], "shoot_h_list"),
                    shoot_j_max=_count(merged["shoot_j_max"], "shoot_j_max"),
                    out_dir=_out_dir(merged["out_dir"]), raw=merged)
-
-    def grid(self) -> Grid:
-        """The fine grid, intervals - 1 interior points; its partner is ``coarse()``."""
-        return Grid(self.grid_L, self.grid_intervals - 1)
 
     def pair(self) -> tuple[PotentialSpec, PotentialSpec]:
         plus = self.potential if not self.potential.reflect_beta \
@@ -217,7 +213,7 @@ def write_report(report: Report, out_dir: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def _exp_spectrum(cfg: ExperimentConfig, rep: Report):
-    spec = refine(cfg.potential, cfg.h, cfg.E_window, cfg.grid())
+    spec = refine(cfg.potential, cfg.h, cfg.E_window, cfg.grid)
     if len(spec) == 0:
         raise PreconditionError(
             f"E_window = {cfg.E_window} holds no level at h = {cfg.h}")
@@ -277,7 +273,7 @@ def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
                 f"gap-sweep needs potential.{key} != 0: at {key} = 0 both members are "
                 "the same operator, so there is no splitting to measure")
     plus, minus = cfg.pair()
-    curve = traces.gap_sweep(plus, minus, cfg.h_list, cfg.grid(), window=cfg.gap_window)
+    curve = traces.gap_sweep(plus, minus, cfg.h_list, cfg.grid, window=cfg.gap_window)
     rep.tables["distance"] = [
         {"h": e.h, "E": e.E, "D": e.D, "error_estimate": e.error_estimate,
          "n_levels": e.n_levels, "usable": int(e.usable)} for e in curve.entries]
@@ -316,7 +312,7 @@ def _variation_row(j: int, h: float, formula: float, oracle: float, eps_fd: floa
 
 def _exp_hadamard(cfg: ExperimentConfig, rep: Report):
     p = cfg.potential
-    level = hadamard.solve_level(cfg.base(), cfg.h, 1, cfg.grid())
+    level = hadamard.solve_level(cfg.base(), cfg.h, 1, cfg.grid)
     rows = []
     r = hadamard.variation_check(level, p.beta, eps_fd=cfg.eps_fd)
     rows.append(_variation_row(r.j, cfg.h, r.formula_value, r.oracle_value, r.eps_fd,
@@ -429,9 +425,9 @@ def _exp_pruefer(cfg: ExperimentConfig, rep: Report):
     for h in cfg.shoot_h_list:
         E = (2 * cfg.shoot_j_max + 1) * h
         for tag, p in (("plus", plus), ("minus", minus)):
-            spec = refine(p, h, E, cfg.grid())
+            spec = refine(p, h, E, cfg.grid)
             for j in range(1, min(cfg.shoot_j_max, len(spec)) + 1):
-                shot = pruefer.shoot_eigenvalue(p, h, j, cfg.grid_L)
+                shot = pruefer.shoot_eigenvalue(p, h, j, cfg.grid.L)
                 matrix = spec.value(j)
                 tol = 10.0 * (spec.error_estimate[j - 1] + 2e-9)
                 rows.append({"h": h, "potential": tag, "j": j,
@@ -530,7 +526,7 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(config: dict | ExperimentConfig, experiment: str,
-        out_dir: str | None = None) -> Report:
+        out_dir: str | None) -> Report:
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
     if experiment not in _EXPERIMENTS:

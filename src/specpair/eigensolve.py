@@ -65,6 +65,7 @@ __all__ = [
     "eigenvalues_below_multi",
     "refine",
     "refine_multi",
+    "richardson",
     "eigenvector",
 ]
 
@@ -463,17 +464,23 @@ def eigenvalues_below(T: TridiagonalOperator, E: float,
 # Richardson refinement
 # ---------------------------------------------------------------------------
 
+def richardson(fine, fine_lo, coarse, coarse_lo):
+    """Richardson's (4 fine - coarse)/3 of two O(dx^2) values, as (hi, lo, estimate).
+
+    Each value (scalar or array) is an unevaluated sum hi + lo; a plain one
+    passes lo = 0.0.  The estimate is |fine - coarse| / 3, the fine value's error.
+    """
+    t, e = _dd.two_sum(4.0 * fine, -coarse)
+    hi = t / 3.0
+    lo = ((t - 3.0 * hi) + (e + 4.0 * fine_lo - coarse_lo)) / 3.0
+    return hi, lo, abs((fine - coarse) + (fine_lo - coarse_lo)) / 3.0
+
+
 def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
     m = min(len(fine), len(coarse))
-    f_hi, f_lo = fine.eigenvalues[:m], fine.eigenvalues_lo[:m]
-    c_hi, c_lo = coarse.eigenvalues[:m], coarse.eigenvalues_lo[:m]
-    # (4*fine - coarse)/3 carried as value + compensation
-    t, e = _dd.two_sum(4.0 * f_hi, -c_hi)
-    r_hi = t / 3.0
-    r_lo = ((t - 3.0 * r_hi) + (e + 4.0 * f_lo - c_lo)) / 3.0
-    diff = (f_hi - c_hi) + (f_lo - c_lo)
-    est = np.abs(diff) / 3.0
-    return Spectrum(h=fine.h, eigenvalues=r_hi, eigenvalues_lo=r_lo,
+    hi, lo, est = richardson(fine.eigenvalues[:m], fine.eigenvalues_lo[:m],
+                             coarse.eigenvalues[:m], coarse.eigenvalues_lo[:m])
+    return Spectrum(h=fine.h, eigenvalues=hi, eigenvalues_lo=lo,
                     error_estimate=est, grid=fine.grid)
 
 
@@ -510,9 +517,8 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
 
 
 def refine(p: PotentialSpec, h: float, E: float, grid: Grid) -> Spectrum:
-    """Richardson-extrapolated eigenvalues (4 fine - coarse)/3 below E on ``grid``.
+    """The eigenvalues below E on ``grid`` and ``grid.coarse()``, combined by ``richardson``.
 
-    The returned error_estimate per eigenvalue is |fine - coarse| / 3.
     The fine levels are polished from the coarse ones, with bisection as
     the fallback; see ``refine_multi``.
     """

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _dd
 from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize,
-                         eigenvalues_below, eigenvector, _inverse_iteration)
+                         eigenvalues_below, eigenvector, richardson, _inverse_iteration)
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
@@ -166,8 +166,8 @@ def asymmetry_witness(level: Level, beta: BumpSpec) -> AsymmetryWitness:
     only the alpha bump (eps = 0; t = 0 gives the symmetric control, where
     the gap must vanish).  The gap equals the integral of beta against the
     odd part of u_1^2 and is the ground-state asymmetry certificate.  The
-    error estimate comes from repeating the quadrature on the
-    half-resolution grid ``Grid.coarse()``, the one level this function
+    error estimate is ``richardson``'s, from repeating the quadrature on
+    the half-resolution grid ``Grid.coarse()``, the one level this function
     solves itself.
     """
     if level.p.eps != 0.0:
@@ -182,11 +182,9 @@ def asymmetry_witness(level: Level, beta: BumpSpec) -> AsymmetryWitness:
         dm = g.dx * float(np.dot(b, u2[::-1]))   # beta(-x) pairs with reversed nodes
         return dp, dm
 
-    grid = level.T.grid
-    coarse = grid.coarse()
-    dp_f, dm_f = one(grid, level.u)
+    coarse = level.T.grid.coarse()
+    dp_f, dm_f = one(level.T.grid, level.u)
     dp_c, dm_c = one(coarse, solve_level(level.p, level.T.h, 1, coarse).u)
-    gap_f = dp_f - dm_f
-    gap_c = dp_c - dm_c
-    est = abs(gap_f - gap_c) / 3.0 + 1e-16 * abs(dp_f)
-    return AsymmetryWitness(d_plus=dp_f, d_minus=dm_f, gap=gap_f, error_estimate=est)
+    gap = dp_f - dm_f
+    est = richardson(gap, 0.0, dp_c - dm_c, 0.0)[2] + 1e-16 * abs(dp_f)
+    return AsymmetryWitness(d_plus=dp_f, d_minus=dm_f, gap=gap, error_estimate=est)

@@ -99,10 +99,16 @@ class BumpSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "BumpSpec":
         """A bump from its filled config object; ``where`` prefixes the key in errors."""
-        return cls(center=check_real(d["center"], f"{where}.center"),
-                   half_width=check_real(d["half_width"], f"{where}.half_width",
-                                         positive=True),
-                   amplitude=check_real(d["amplitude"], f"{where}.amplitude"))
+        return _named(where, cls, **{key: check_real(d[key], f"{where}.{key}")
+                                     for key in ("center", "half_width", "amplitude")})
+
+
+def _named(where: str, cls, **fields):
+    """``cls(**fields)``; a ValidationError becomes a config error under the key ``where``."""
+    try:
+        return cls(**fields)
+    except ValidationError as exc:
+        raise PreconditionError(f"{where}.{exc}") from None
 
 
 def _mollifier(u):
@@ -187,11 +193,11 @@ class PotentialSpec:
         if not isinstance(reflect, bool):
             raise PreconditionError(
                 f"potential.reflect_beta must be true or false, got {reflect!r}")
-        return cls(t=check_real(d["t"], "potential.t"),
-                   eps=check_real(d["eps"], "potential.eps"),
-                   reflect_beta=reflect,
-                   alpha=BumpSpec.from_dict(d["alpha"], "potential.alpha"),
-                   beta=BumpSpec.from_dict(d["beta"], "potential.beta"))
+        return _named("potential", cls, t=check_real(d["t"], "potential.t"),
+                      eps=check_real(d["eps"], "potential.eps"),
+                      reflect_beta=reflect,
+                      alpha=BumpSpec.from_dict(d["alpha"], "potential.alpha"),
+                      beta=BumpSpec.from_dict(d["beta"], "potential.beta"))
 
 
 def potential_eval(p: PotentialSpec, x):

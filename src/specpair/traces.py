@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import Grid, discretize, eigenvalues_below_multi, refine_multi
+from .eigensolve import Grid, discretize, eigenvalues_below_multi, refine_multi, richardson
 from .errors import PreconditionError, WindowCapError, check_real
 from .potential import BumpSpec, PotentialSpec, bump_eval, potential_eval
 
@@ -37,6 +37,7 @@ __all__ = [
 TAIL_TOL = 1e-14      # certified bound on the density's tail beyond its window
 WINDOW_CAP = 60.0     # highest window a density may need for that bound
 SUPERPOLY_POWERS = (2, 4, 6, 8)   # the N of the D(h)/h^N monotonicity table
+WEYL_ABS_TOL = 1e-10  # largest quadrature error estimate weyl_term accepts
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,13 @@ def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
     return float(np.sum(f(lam)))
 
 
-def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> float:
+def weyl_term(p: PotentialSpec, f: TestFunction) -> float:
     """Phase-space integral of f(xi^2 + V(x)) dx dxi by adaptive quadrature in x.
 
     The outer quadrature breaks at the edges of both bumps' supports and
     their mirror images, where V is smooth but not analytic.  For a bump the
     xi integral is a Gauss-Legendre sum at two orders; their difference is
-    its error estimate, checked like the outer one.
+    its error estimate, checked like the outer one against ``WEYL_ABS_TOL``.
     """
     # imported here, not at module level: only trace pays for loading scipy.integrate
     from scipy.integrate import quad
@@ -133,10 +134,10 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
         def g(x):
             return math.exp(-s * potential_eval(p, x))
 
-        val, err = quad(g, -x_max, x_max, epsabs=abs_tol * 1e-3, epsrel=1e-13,
+        val, err = quad(g, -x_max, x_max, epsabs=WEYL_ABS_TOL * 1e-3, epsrel=1e-13,
                         limit=400, points=breaks)
-        if err > abs_tol:
-            raise PreconditionError(f"outer quadrature error {err:.2e} above {abs_tol:.1e}")
+        if err > WEYL_ABS_TOL:
+            raise PreconditionError(f"outer quadrature error {err:.2e} above {WEYL_ABS_TOL:.1e}")
         return xi_factor * val
     # bump: energies inside (bot, top) only
     bot, top = f.center - f.half_width, f.center + f.half_width
@@ -157,16 +158,16 @@ def weyl_term(p: PotentialSpec, f: TestFunction, abs_tol: float = 1e-10) -> floa
         coarse = 2.0 * rad * float(w_c @ vals[:n_c.size])
         inner = 2.0 * rad * float(w_f @ vals[n_c.size:])
         ierr = abs(inner - coarse)
-        if ierr > max(abs_tol * 1e-4, 1e-12 * abs(inner)):
+        if ierr > max(WEYL_ABS_TOL * 1e-4, 1e-12 * abs(inner)):
             raise PreconditionError(
                 f"inner quadrature error {ierr:.2e} at x = {x:.6g} above tolerance")
         return inner
 
     pts = [b for b in breaks if -x_max < b < x_max]
-    val, err = quad(g, -x_max, x_max, epsabs=abs_tol * 1e-2, epsrel=1e-12,
+    val, err = quad(g, -x_max, x_max, epsabs=WEYL_ABS_TOL * 1e-2, epsrel=1e-12,
                     limit=400, points=pts or None)
-    if err > abs_tol:
-        raise PreconditionError(f"outer quadrature error {err:.2e} above {abs_tol:.1e}")
+    if err > WEYL_ABS_TOL:
+        raise PreconditionError(f"outer quadrature error {err:.2e} above {WEYL_ABS_TOL:.1e}")
     return val
 
 
@@ -180,11 +181,10 @@ class WeylFit:
     nu_values: list[float]
 
 
-def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None) -> WeylFit:
+def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list) -> WeylFit:
     """Fit (2 pi h) nu_h(f) = a0 + a1 h^2 + a2 h^4 over the h sample.
 
-    ``nu_values`` may supply precomputed densities (e.g. closed forms in
-    tests), one per h; otherwise they are computed.  The h sample must
+    Each density is ``spectral_density(p, h, f)``.  The h sample must
     contain at least 6 points inside [0.02, 0.5].
     """
     hs = [float(h) for h in h_list]
@@ -192,11 +192,7 @@ def weyl_consistency(p: PotentialSpec, f: TestFunction, h_list, nu_values=None) 
         raise PreconditionError("need at least 6 h values")
     if min(hs) < 0.02 or max(hs) > 0.5:
         raise PreconditionError("h sample must lie inside [0.02, 0.5]")
-    if nu_values is None:
-        nu_values = [spectral_density(p, h, f) for h in hs]
-    nus = [float(v) for v in nu_values]
-    if len(nus) != len(hs):
-        raise PreconditionError(f"got {len(nus)} nu_values for {len(hs)} h values")
+    nus = [spectral_density(p, h, f) for h in hs]
     y = np.array([2.0 * math.pi * h * nu for h, nu in zip(hs, nus)])
     H = np.array(hs)
     A = np.stack([np.ones_like(H), H ** 2, H ** 4], axis=1)
@@ -228,7 +224,7 @@ def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
     """Max per-index eigenvalue distance D below E on ``grid`` and ``grid.coarse()``.
 
     D is the largest |Richardson-refined gap| over the paired levels, and
-    its error estimate is |fine - coarse| / 3 of that gap plus rounding.
+    its error estimate is ``richardson``'s estimate of that gap plus rounding.
     Index pairing is positional (both spectra are simple and ordered); a
     count mismatch at the window edge is resolved by the common count.  A
     window with no common level is an error, never a zero distance, and
@@ -237,15 +233,13 @@ def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
     pair = (p_plus, p_minus)
     sf, sc = (eigenvalues_below_multi([discretize(p, h, g) for p in pair], [E, E])
               for g in (grid, grid.coarse()))
-    g_f = sf[0].gaps_to(sf[1])
-    g_c = sc[0].gaps_to(sc[1])
+    g_f, g_c = (s[0].gaps_to(s[1]) for s in (sf, sc))
     m = min(g_f.size, g_c.size)
     if m == 0:
         raise PreconditionError(f"no level of the pair below E = {E} at h = {h}")
-    g_f, g_c = g_f[:m], g_c[:m]
-    refined = (4.0 * g_f - g_c) / 3.0
+    refined, _, ests = richardson(g_f[:m], 0.0, g_c[:m], 0.0)
     j = int(np.argmax(np.abs(refined)))
-    est = abs(g_f[j] - g_c[j]) / 3.0 + 1e-15 * max(1.0, float(sf[0].eigenvalues[j]))
+    est = ests[j] + 1e-15 * max(1.0, float(sf[0].eigenvalues[j]))
     return GapEntry(h=h, E=E, D=float(abs(refined[j])), error_estimate=est, n_levels=m)
 
 
@@ -308,7 +302,7 @@ class GapCurve:
 
 
 def gap_sweep(p_plus: PotentialSpec, p_minus: PotentialSpec, h_list,
-              grid: Grid, window: str | float = "ground") -> GapCurve:
+              grid: Grid, window: str | float) -> GapCurve:
     """Spectral distance per h on one grid, noise floor, and the decay fit.
 
     Each h gives one ``isospectral_distance`` entry on ``grid``.

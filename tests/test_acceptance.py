@@ -46,7 +46,7 @@ def report(num: int, name: str, passed: bool, detail: str):
 def sweep():
     plus, minus = default_pair()
     return gap_sweep(plus, minus, np.geomspace(0.25, 1.0, 12),
-                     Grid(8.0, 4095))
+                     Grid(8.0, 4095), window="ground")
 
 
 def test_criterion_01_harmonic_exactness():

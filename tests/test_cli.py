@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from specpair import cli, eigensolve, errors, hadamard
+from specpair.eigensolve import Grid
 from specpair.errors import PreconditionError
 from specpair.potential import PotentialSpec
 
@@ -262,6 +263,22 @@ def test_invalid_potential_value_is_an_error(tmp_path, bad, key):
     assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("bad, key", [
+    ({"t": -1.0}, "potential.t"),
+    ({"eps": -1.0}, "potential.eps"),
+    ({"alpha": {"amplitude": -1.0}}, "potential.alpha.amplitude"),
+    ({"beta": {"amplitude": -1.0}}, "potential.beta.amplitude"),
+])
+def test_negative_strength_or_amplitude_names_its_key(tmp_path, capsys, bad, key):
+    # the constructors' own check said "t must be >= 0", without the key
+    with pytest.raises(PreconditionError, match=rf"^{re.escape(key)} must be >= 0\b"):
+        cli.ExperimentConfig.from_dict({"potential": bad})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": bad}))
+    assert run_cli(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"error: {key} must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, extra", [
     (None, []),                                   # missing file
     ('{"h": 1.0', []),                            # malformed JSON
@@ -315,8 +332,7 @@ def test_config_round_trip_overrides(tmp_path):
     parsed = cli.ExperimentConfig.from_dict(json.loads(cfg.read_text()))
     assert parsed.potential.t == 0.01
     assert parsed.potential.eps == 0.05       # default preserved
-    assert parsed.grid_intervals == 512
-    assert parsed.grid_L == 8.0
+    assert parsed.grid == Grid(8.0, 511)
 
 
 def test_charpoly_helper_roots():

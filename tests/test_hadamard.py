@@ -126,7 +126,7 @@ def test_witness_needs_a_grid_with_a_half_resolution_partner():
 ])
 def test_variation_check_needs_a_bump_the_grid_sees(tmp_path, config):
     # the formula and the oracle were both 0 and hadamard-check divided by zero
-    grid = cli.ExperimentConfig.from_dict(config).grid()
+    grid = cli.ExperimentConfig.from_dict(config).grid
     message = rf"{re.escape(str(grid))}: support \(3\.0, 4\.0\)"
     with pytest.raises(PreconditionError, match=message):
         cli.run(config, "hadamard-check", out_dir=tmp_path)

@@ -1,8 +1,9 @@
-"""A ratchet on who knows the bump: ``potential`` alone spells its profile.
+"""A ratchet on one owner per rule: ``potential`` alone spells the bump's
+profile, and ``eigensolve.richardson`` alone writes the Richardson combine.
 
-The checks read the package sources, so a second copy of the profile, a
-reach into ``potential``'s private names or a hard-coded support list fails
-here before it can drift from the one owner.
+The checks read the package sources, so a second copy of the profile or of
+the combine, a reach into ``potential``'s private names or a hard-coded
+support list fails here before it can drift from the one owner.
 """
 
 import ast
@@ -34,6 +35,25 @@ def test_no_module_imports_a_private_name_of_potential():
                     and isinstance(node.value, ast.Name) and node.value.id == "potential":
                 reached.append(f"{name}: potential.{node.attr}")
     assert reached == []
+
+
+def _thirds(tree) -> list:
+    """Every division by the literal 3 under ``tree``: the combine's ``/ 3.0``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div) and isinstance(node.right, ast.Constant)
+            and node.right.value == 3]
+
+
+def test_the_richardson_combine_is_written_only_in_richardson():
+    written = []
+    for name, text in _modules().items():
+        tree = ast.parse(text)
+        owner = [node for node in tree.body if name == "eigensolve"
+                 and isinstance(node, ast.FunctionDef) and node.name == "richardson"]
+        allowed = {id(node) for fn in owner for node in _thirds(fn)}
+        written += [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in _thirds(tree)
+                    if id(node) not in allowed]
+    assert written == []
 
 
 def _number(node) -> float | None:

@@ -14,7 +14,7 @@ import inspect
 from specpair import cli
 
 MODULES = ("potential", "eigensolve", "pruefer", "weber", "hadamard", "traces", "cli")
-SETTABLE_VALUES = 41
+SETTABLE_VALUES = 36
 
 
 def _defaulted(fn) -> list[str]:
