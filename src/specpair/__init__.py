@@ -10,9 +10,7 @@ defining properties of the associated Weber (parabolic cylinder) solution.
 from .potential import (
     BumpSpec,
     PotentialSpec,
-    ValidationError,
     bump_eval,
-    default_pair,
     harmonic,
     potential_derivative,
     potential_eval,

@@ -10,7 +10,9 @@ angle and log-radius paths).  ``angle_end`` is the shooting oracle's kernel:
 the angle equation alone, written out as scalar arithmetic, returning only
 the final angle.  It performs the same floating-point operations in the same
 order as ``integrate`` on that one-component system, so both give the same
-end angle bit for bit.
+end angle bit for bit, in about half the time: a [-8, 8] integration at 1e-12
+takes 0.022-0.029 s against 0.045-0.063 s (medians of 21 interleaved runs on
+one Intel Xeon core), and Weber's shot is most of a ``spectra`` benchmark pass.
 """
 
 from __future__ import annotations

@@ -199,12 +199,14 @@ def write_report(report: Report, out_dir: str | Path) -> Path:
     payload = {
         "experiment": report.experiment,
         "config": report.config,
-        "assertions": [a.to_dict() for a in report.assertions],
+        # JSON has no Infinity or NaN: a margin over no cases (inf) is written as null
+        "assertions": [{**a.to_dict(), "margin": a.margin if math.isfinite(a.margin) else None}
+                       for a in report.assertions],
         "passed": report.ok,
         "timing_s": report.timing_s,
     }
     path = out / f"{report.experiment}_report.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -402,7 +404,7 @@ def _exp_pruefer(cfg: ExperimentConfig, rep: Report):
     base, lam1, u1, w = _weber_bundle(cfg)
     qb = pruefer.CoefficientQ(lam=lam1)                 # bare oscillator
     qs = pruefer.CoefficientQ(lam=lam1, potential=base)  # with the alpha bump
-    th0 = math.atan2(float(w.value(-3.0)), float(w.derivative(-3.0)))
+    th0 = math.atan2(float(w.dense(-3.0)), float(w.dense.derivative(-3.0)))
     tb, ts = pruefer.integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
     ang = pruefer.compare_angles(tb, ts)
     rep.check("pruefer.angle_ordering", ang.ok, ang.min_margin + pruefer.COMPARE_TOL,

@@ -21,14 +21,12 @@ from .errors import PreconditionError, check_real, fill_defaults
 __all__ = [
     "BumpSpec",
     "PotentialSpec",
-    "ValidationError",
     "ValidationReport",
     "bump_eval",
     "bump_derivative",
     "potential_eval",
     "potential_derivative",
     "validate",
-    "default_pair",
     "harmonic",
 ]
 
@@ -38,16 +36,10 @@ BETA_WINDOW = (3.0, 4.0)
 SAMPLE_STEP = 1e-3   # spacing of validate's sign scan of V'
 
 
-class ValidationError(ValueError):
-    """A potential violates one of its standing assumptions."""
-
-
-def _check_finite(spec, fields) -> None:
-    """Raise ValidationError naming the first of ``fields`` that is not finite."""
-    for name in fields:
-        v = getattr(spec, name)
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} must be finite, got {v}")
+def _check_nonnegative(v, name: str) -> None:
+    """Raise PreconditionError naming ``name`` unless ``v`` is a finite number >= 0."""
+    if check_real(v, name) < 0.0:
+        raise PreconditionError(f"{name} must be >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +58,9 @@ class BumpSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, ("center", "half_width", "amplitude"))
-        if not self.half_width > 0.0:
-            raise ValidationError(f"half_width must be > 0, got {self.half_width}")
-        if self.amplitude < 0.0:
-            raise ValidationError(f"amplitude must be >= 0, got {self.amplitude}")
+        check_real(self.center, "center")
+        check_real(self.half_width, "half_width", positive=True)
+        _check_nonnegative(self.amplitude, "amplitude")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -99,15 +89,14 @@ class BumpSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "BumpSpec":
         """A bump from its filled config object; ``where`` prefixes the key in errors."""
-        return _named(where, cls, **{key: check_real(d[key], f"{where}.{key}")
-                                     for key in ("center", "half_width", "amplitude")})
+        return _named(where, cls, **d)
 
 
 def _named(where: str, cls, **fields):
-    """``cls(**fields)``; a ValidationError becomes a config error under the key ``where``."""
+    """``cls(**fields)``; its PreconditionError is re-raised under the key ``where``."""
     try:
         return cls(**fields)
-    except ValidationError as exc:
+    except PreconditionError as exc:
         raise PreconditionError(f"{where}.{exc}") from None
 
 
@@ -165,11 +154,8 @@ class PotentialSpec:
     beta: BumpSpec = BumpSpec(center=3.5, half_width=0.5)
 
     def __post_init__(self):
-        _check_finite(self, ("t", "eps"))
-        if self.t < 0.0:
-            raise ValidationError(f"t must be >= 0, got {self.t}")
-        if self.eps < 0.0:
-            raise ValidationError(f"eps must be >= 0, got {self.eps}")
+        _check_nonnegative(self.t, "t")
+        _check_nonnegative(self.eps, "eps")
 
     def reflected(self) -> "PotentialSpec":
         """The mirror partner (beta reflection toggled, everything else shared)."""
@@ -193,9 +179,7 @@ class PotentialSpec:
         if not isinstance(reflect, bool):
             raise PreconditionError(
                 f"potential.reflect_beta must be true or false, got {reflect!r}")
-        return _named("potential", cls, t=check_real(d["t"], "potential.t"),
-                      eps=check_real(d["eps"], "potential.eps"),
-                      reflect_beta=reflect,
+        return _named("potential", cls, t=d["t"], eps=d["eps"], reflect_beta=reflect,
                       alpha=BumpSpec.from_dict(d["alpha"], "potential.alpha"),
                       beta=BumpSpec.from_dict(d["beta"], "potential.beta"))
 
@@ -284,16 +268,6 @@ def validate(p: PotentialSpec) -> ValidationReport:
         derivative_bound_alpha=da,
         derivative_bound_beta=db,
     )
-
-
-def default_pair() -> tuple[PotentialSpec, PotentialSpec]:
-    """The (plus, minus) pair at the default bump strengths t = eps = 0.05; validated."""
-    plus = PotentialSpec()
-    minus = plus.reflected()
-    rep = validate(plus)
-    if not rep.ok:
-        raise ValidationError("; ".join(rep.failures))
-    return plus, minus
 
 
 def harmonic() -> PotentialSpec:

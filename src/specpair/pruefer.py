@@ -64,9 +64,6 @@ class CoefficientQ:
         lam = self.lam
         inv_h2 = 1.0 / (self.h * self.h)
         p = self.potential
-        if p.t == 0.0 and p.eps == 0.0:
-            return lambda x: (lam - x * x) * inv_h2
-
         t, eps, reflect = p.t, p.eps, p.reflect_beta
         alpha, beta = p.alpha.scalar(), p.beta.scalar()
 
@@ -90,12 +87,6 @@ class PrueferTrace:
     log_rs: np.ndarray
     start: tuple[float, float]
     q: CoefficientQ
-
-    def node_count(self) -> int:
-        """Upward crossings of multiples of pi (sign changes of the solution)."""
-        k0 = math.floor(self.start[1] / math.pi)
-        k1 = math.floor(self.thetas[-1] / math.pi)
-        return int(k1 - k0)
 
 
 def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float) -> PrueferTrace:

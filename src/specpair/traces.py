@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,8 +70,13 @@ class TestFunction:
         if self.kind == "exponential":
             out = np.exp(-self.scale * E)
         else:
-            out = bump_eval(BumpSpec(self.center, self.half_width), E)
+            out = bump_eval(self._unit_bump, E)
         return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def _unit_bump(self) -> BumpSpec:
+        """The bump kind's profile, built once: ``weyl_term`` calls f ~2000 times."""
+        return BumpSpec(self.center, self.half_width)
 
     def window_for_tail(self, h: float) -> float:
         """Energy cutoff above which the remaining sum is below ``TAIL_TOL``.
@@ -83,13 +89,6 @@ class TestFunction:
         s = self.scale
         geom = 1.0 - math.exp(-2.0 * s * h)
         return (math.log(1.0 / TAIL_TOL) + math.log(1.0 / geom)) / s
-
-    def tail_bound(self, E: float, h: float) -> float:
-        """Certified bound on the sum of f over eigenvalues >= E."""
-        if self.kind == "bump":
-            return 0.0 if E >= self.center + self.half_width else math.inf
-        s = self.scale
-        return math.exp(-s * E) / (1.0 - math.exp(-2.0 * s * h))
 
 
 def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
@@ -250,11 +249,6 @@ class GapFit:
     r_squared: float
     power_r_squared: float     # competing pure-power-law model
     n_points: int
-
-    @property
-    def flagged(self) -> bool:
-        """Poor exponential fit: low r^2 or a power law explains the data better."""
-        return self.r_squared < 0.98 or self.power_r_squared > self.r_squared
 
 
 def fit_gap_decay(pairs) -> GapFit:

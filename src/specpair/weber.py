@@ -117,12 +117,6 @@ class WeberSolution:
     boundary_case: bool           # lambda1 == 1 exactly
     dense: DenseSolution
 
-    def value(self, x):
-        return self.dense(x)
-
-    def derivative(self, x):
-        return self.dense.derivative(x)
-
 
 def solve_weber(lambda1: float, u1: DenseSolution) -> WeberSolution:
     """Integrate the Weber equation rightward and extract its features.
@@ -330,12 +324,12 @@ def c_identities(w: WeberSolution, u1: DenseSolution) -> IdentityReport:
     c = w.c
 
     xs_l = np.arange(X_LEFT, -3.0 + 1e-12, DENSE_STEP)
-    sup_l = np.max(np.abs(np.asarray(u1(xs_l)) - w.value(xs_l)))
+    sup_l = np.max(np.abs(np.asarray(u1(xs_l)) - w.dense(xs_l)))
 
     xs_r = np.arange(-2.0, 4.0 + 1e-12, DENSE_STEP)
-    sup_r = np.max(np.abs(np.asarray(u1(xs_r)) - c * w.value(-xs_r)))
+    sup_r = np.max(np.abs(np.asarray(u1(xs_r)) - c * w.dense(-xs_r)))
 
-    dmis = abs(float(u1.derivative(-w.a)) + c * float(w.derivative(w.a)))
+    dmis = abs(float(u1.derivative(-w.a)) + c * float(w.dense.derivative(w.a)))
 
     return IdentityReport(sup_left=float(sup_l), sup_right=float(sup_r),
                           deriv_mismatch=dmis)

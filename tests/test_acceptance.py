@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from specpair.potential import BumpSpec, PotentialSpec, default_pair, harmonic
+from specpair.potential import BumpSpec, PotentialSpec, harmonic
 from specpair.eigensolve import Grid, refine_multi
 from specpair.hadamard import (
     asymmetry_witness,
@@ -44,7 +44,8 @@ def report(num: int, name: str, passed: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def sweep():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     return gap_sweep(plus, minus, np.geomspace(0.25, 1.0, 12),
                      Grid(8.0, 4095), window="ground")
 
@@ -137,7 +138,7 @@ def test_criterion_07_matching_suite(weber_bundle):
 
     qb = CoefficientQ(lam=lam1)
     qs = CoefficientQ(lam=lam1, potential=base)
-    th0 = math.atan2(float(w.value(-3.0)), float(w.derivative(-3.0)))
+    th0 = math.atan2(float(w.dense(-3.0)), float(w.dense.derivative(-3.0)))
     tb, ts = integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
     ang = compare_angles(tb, ts)
     sol = compare_solutions(float(u1(-3.0)), tb, ts, (-3.0, -w.a))
@@ -163,7 +164,8 @@ def test_criterion_07_matching_suite(weber_bundle):
 
 
 def test_criterion_08_trace_invariants():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     f_exp = TestFunction(kind="exponential", scale=1.0)
     # energies up to 18 reach beta's support [3, 4], so the bump check can fail
     f_bump = TestFunction(kind="bump", center=12.0, half_width=6.0)
@@ -186,7 +188,8 @@ def test_criterion_08_trace_invariants():
 
 
 def test_criterion_09_cross_method_oracle():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     grid = Grid(8.0, 15999)
     hs = (1.0, 0.5, 0.25)
     entries = [(p, h, 20.4 * h + 0.2) for h in hs for p in (plus, minus)]
@@ -208,7 +211,8 @@ def test_criterion_09_cross_method_oracle():
 
 
 def test_criterion_10_ground_state_above_h():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     grid = Grid(8.0, 15999)
     hs = (0.7, 0.85, 1.0)
     entries = [(p, h, 2.5 * h) for h in hs for p in (plus, minus)]

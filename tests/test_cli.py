@@ -83,6 +83,22 @@ def test_spectrum_deterministic_output(tmp_path):
         (b / "spectrum_eigenvalues.csv").read_bytes()
 
 
+def test_report_with_an_infinite_margin_is_strict_json(tmp_path):
+    # one level below E_window = 2 at h = 1, so the ordering margin is the
+    # minimum over no gaps: inf in the report, null in its JSON file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"E_window": 2.0}))
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def refuse(token):   # RFC 8259 has no Infinity, -Infinity or NaN
+        raise ValueError(f"non-JSON constant {token}")
+    report = json.loads((tmp_path / "spectrum_report.json").read_text(),
+                        parse_constant=refuse)
+    margins = {a["name"]: a["margin"] for a in report["assertions"]}
+    assert margins["eigensolve.ordering"] is None
+    assert isinstance(margins["eigensolve.ground_above_h"], float)
+
+
 def test_gap_sweep_mirror_pair_reports_floor(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

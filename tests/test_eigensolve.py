@@ -8,7 +8,7 @@ from specpair import _dd, eigensolve
 from specpair.cli import charpoly_roots
 from specpair.errors import (ConvergenceError, GridMarginError, PreconditionError,
                              WindowCapError)
-from specpair.potential import PotentialSpec, default_pair, harmonic
+from specpair.potential import PotentialSpec, harmonic
 from specpair.eigensolve import (
     Grid,
     count_below,
@@ -143,7 +143,7 @@ def test_window_cap():
 
 def test_polish_outside_bracket_is_an_error(monkeypatch):
     # asymmetric, so the full matrix is iterated and levels lie ~2h apart
-    T = discretize(default_pair()[0], 1.0, Grid(8.0, 511))
+    T = discretize(PotentialSpec(), 1.0, Grid(8.0, 511))
     assert eigensolve._parity_blocks(T) is None
     inverse_iteration = eigensolve._inverse_iteration
     # every level polished with the vector of the level above
@@ -260,7 +260,8 @@ def test_splitting_below_the_floor_does_not_depend_on_the_bracket(monkeypatch):
     # the default pair's ground splitting at h = 0.25 is ~1.1e-21, nine decades
     # below the gap-sweep floor; a 1e4 times tighter bracket moves it only in
     # rounding because the polish corrects about inverse iteration's estimate
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     g = Grid(8.0, 4095)
 
     def splitting():
@@ -324,7 +325,7 @@ def test_eigenvector_first_excited_odd():
 
 def test_eigenvector_perturbed_ground_positive():
     g = Grid(8.0, 4095)
-    p, _ = default_pair()
+    p = PotentialSpec()
     T = discretize(p, 1.0, g)
     lam1 = float(eigenvalues_below(T, 2.0).eigenvalues[0])
     u = eigenvector(T, lam1)
@@ -350,7 +351,7 @@ def test_ground_state_monotone_in_t():
 
 
 def test_ground_state_above_h_with_bumps():
-    p, _ = default_pair()
+    p = PotentialSpec()
     spec = refine(p, 0.85, 2.0, Grid(8.0, 8191))
     assert spec.value(1) > 0.85 + 10.0 * float(spec.error_estimate[0])
 
@@ -417,7 +418,7 @@ def test_seeded_levels_match_bisection(t, eps, reflect, h, half, k):
     assert np.max(np.abs(seeded.eigenvalues_lo - bisected.eigenvalues_lo)) <= 8 * EPS * width
 
 
-@pytest.mark.parametrize("p", [default_pair()[0], harmonic()])
+@pytest.mark.parametrize("p", [PotentialSpec(), harmonic()])
 @pytest.mark.parametrize("edit", ["drop", "duplicate"])
 def test_seeds_missing_or_repeating_a_level_raise(p, edit):
     gf = Grid(8.0, 2047)
@@ -449,7 +450,7 @@ def test_refine_falls_back_to_bisection_when_seeds_fail():
 
 
 @pytest.mark.parametrize("p, h, E", [(harmonic(), 0.16, 16.0),
-                                     (default_pair()[0], 0.5, 6.0)])
+                                     (PotentialSpec(), 0.5, 6.0)])
 def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
     factorizations, solves, stebz = [], [], []
     dgttrf, dgttrs = eigensolve.dgttrf, eigensolve.dgttrs

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from specpair.errors import PreconditionError
 from specpair.potential import (
     BumpSpec,
     PotentialSpec,
-    ValidationError,
     bump_eval,
     bump_derivative,
-    default_pair,
     harmonic,
     potential_derivative,
     potential_eval,
@@ -44,16 +43,16 @@ def test_bump_range_and_sign():
 
 
 def test_bump_invalid_parameters():
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         BumpSpec(center=0.0, half_width=0.0, amplitude=1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         BumpSpec(center=0.0, half_width=1.0, amplitude=-0.5)
 
 
 def test_derivative_matches_finite_differences():
     # central-difference oracle with step 1e-6, away from the flat regions
     rng = np.random.default_rng(20240817)
-    p, _ = default_pair()
+    p = PotentialSpec()
     xs = np.concatenate([rng.uniform(0.5, 4.2, 50), rng.uniform(-4.2, -0.5, 50)])
     d = 1e-6
     for x in xs:
@@ -73,7 +72,8 @@ def test_bump_derivative_finite_differences():
 
 
 def test_potential_plain_square_between_bumps():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     for x in (-1.9, -1.0, 0.0, 1.3, 2.9):
         assert potential_eval(plus, x) == x * x
     assert potential_eval(plus, 0.0) == 0.0
@@ -83,7 +83,8 @@ def test_potential_plain_square_between_bumps():
 
 
 def test_reflected_bump_positions():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     # on (-4, -3): plus is bare, minus carries the reflected beta bump
     assert potential_eval(plus, -3.5) == 3.5 * 3.5
     assert potential_eval(minus, -3.5) == pytest.approx(3.5 * 3.5 + 0.05, rel=1e-15)
@@ -97,7 +98,7 @@ def test_pure_reflection_pair_at_t_zero():
 
 
 def test_nonnegative_and_zero_only_at_origin():
-    p, _ = default_pair()
+    p = PotentialSpec()
     x = np.linspace(-6, 6, 10001)
     v = potential_eval(p, x)
     assert np.all(v >= 0.0)
@@ -105,7 +106,7 @@ def test_nonnegative_and_zero_only_at_origin():
 
 
 def test_validate_defaults_pass():
-    rep = validate(default_pair()[0])
+    rep = validate(PotentialSpec())
     assert rep.ok
     assert rep.derivative_bound_alpha < 4.0
     assert rep.derivative_bound_beta < 6.0
@@ -131,9 +132,9 @@ def test_validate_support_violation():
 
 
 def test_negative_strengths_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         PotentialSpec(t=-0.1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         PotentialSpec(eps=-0.1)
 
 
@@ -141,14 +142,14 @@ def test_negative_strengths_rejected():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_bump_field_rejected(field, value):
     kwargs = {"center": -2.5, "half_width": 0.5, "amplitude": 1.0, field: value}
-    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+    with pytest.raises(PreconditionError, match=f"^{field} must be a finite number"):
         BumpSpec(**kwargs)
 
 
 @pytest.mark.parametrize("field", ["t", "eps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_strength_rejected(field, value):
-    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+    with pytest.raises(PreconditionError, match=f"^{field} must be a finite number"):
         PotentialSpec(**{field: value})
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from specpair import _rk, cli, pruefer
 from specpair.errors import ConvergenceError, PreconditionError
-from specpair.potential import BumpSpec, PotentialSpec, default_pair, harmonic, \
+from specpair.potential import BumpSpec, PotentialSpec, harmonic, \
     potential_eval
 from specpair.eigensolve import Grid, refine
 from specpair.pruefer import (
@@ -66,7 +66,7 @@ def test_angle_against_fixed_step_oracle():
 
 
 def test_integration_deterministic():
-    q = CoefficientQ(lam=1.3, potential=default_pair()[0])
+    q = CoefficientQ(lam=1.3, potential=PotentialSpec())
     t1 = integrate_angle(q, -3.0, 0.7, 0.0)
     t2 = integrate_angle(q, -3.0, 0.7, 0.0)
     assert np.array_equal(t1.thetas, t2.thetas)
@@ -77,7 +77,7 @@ def test_trace_node_count():
     q = CoefficientQ(lam=5.3)
     tr = integrate_angle(q, -6.0, 0.0, 6.0)
     # lam = 5.3 sits between the 3rd and 4th Dirichlet levels: theta(L) in (3pi, 4pi)
-    assert tr.node_count() == 3
+    assert 3.0 * math.pi < tr.thetas[-1] < 4.0 * math.pi
 
 
 def integrate_end_angle(qf, x0, x1, eps_per_length, max_step):
@@ -156,7 +156,7 @@ def test_shoot_integrates_each_lam_once(monkeypatch, j):
 
     monkeypatch.setattr(CoefficientQ, "scalar_fn", recording_scalar_fn)
     monkeypatch.setattr(_rk, "angle_end", counting_angle_end)
-    lam = shoot_eigenvalue(default_pair()[0], 1.0, j, 8.0)
+    lam = shoot_eigenvalue(PotentialSpec(), 1.0, j, 8.0)
     assert len(calls) == len(lams) == len(set(lams))
     assert lam in lams
 
@@ -172,7 +172,7 @@ def test_shoot_invalid_j():
 
 
 def test_shoot_matches_matrix_for_perturbed_pair():
-    p, _ = default_pair()
+    p = PotentialSpec()
     spec = refine(p, 1.0, 4.0, Grid(8.0, 4095))
     shot = shoot_eigenvalue(p, 1.0, 1, 8.0)
     combined = float(spec.error_estimate[0]) + 6e-9

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from specpair import eigensolve, traces
 from specpair.errors import PreconditionError, WindowCapError
-from specpair.potential import BumpSpec, PotentialSpec, default_pair, harmonic
+from specpair.potential import BumpSpec, PotentialSpec, harmonic
 from specpair.eigensolve import Grid
 from specpair.traces import (
     GapEntry,
@@ -64,8 +64,10 @@ def test_bump_test_function_is_the_mollifier():
 def test_tail_bounds():
     # geometric-series bound from lambda_j >= (2j-1) h
     E = F_EXP.window_for_tail(1.0)
-    assert F_EXP.tail_bound(E, 1.0) <= 1e-14
-    assert F_BUMP.tail_bound(7.01, 1.0) == 0.0
+    assert math.exp(-E) / (1.0 - math.exp(-2.0)) <= 1e-14
+    # the bump vanishes above its window, so nothing is left beyond it
+    E = F_BUMP.window_for_tail(1.0)
+    assert np.all(F_BUMP(np.linspace(E, E + 10.0, 101)) == 0.0)
 
 
 def test_density_harmonic_closed_form():
@@ -111,7 +113,7 @@ def test_weyl_term_harmonic_bump():
 
 def test_weyl_term_bump_matches_nested_quad():
     # values of the former nested adaptive quadrature (inner quad over xi)
-    plus, _ = default_pair()
+    plus = PotentialSpec()
     assert weyl_term(plus, F_BUMP) == pytest.approx(7.560228495646896, abs=1e-12)
     assert weyl_term(plus, F_WIDE) == pytest.approx(22.745966742486264, abs=1e-12)
 
@@ -146,7 +148,8 @@ def test_weyl_term_breaks_at_the_bumps_support_edges(monkeypatch):
 
 
 def test_weyl_term_pair_equality():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     for f in (F_EXP, F_BUMP, F_WIDE):
         ap = weyl_term(plus, f)
         am = weyl_term(minus, f)
@@ -182,7 +185,8 @@ def test_isospectral_distance_mirror_pair():
 
 
 def test_isospectral_distance_swap_symmetric():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     grid = Grid(8.0, 2047)
     d1 = isospectral_distance(1.0, 10.0, plus, minus, grid)
     d2 = isospectral_distance(1.0, 10.0, minus, plus, grid)
@@ -191,7 +195,8 @@ def test_isospectral_distance_swap_symmetric():
 
 
 def test_isospectral_distance_decreases_with_h():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     grid = Grid(8.0, 4095)
     d1 = isospectral_distance(1.0, 10.0, plus, minus, grid).D
     d2 = isospectral_distance(0.25, 10.0, plus, minus, grid).D
@@ -206,14 +211,13 @@ def test_fit_gap_decay_exact_model():
     assert fit.C == pytest.approx(2.0, abs=1e-10)
     assert fit.c == pytest.approx(3.0, abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
-    assert not fit.flagged
+    assert fit.power_r_squared <= fit.r_squared
 
 
 def test_fit_gap_decay_flags_power_law():
     hs = np.geomspace(0.25, 1.0, 10)
     entries = [(h, h ** 4) for h in hs]
     fit = fit_gap_decay(entries)
-    assert fit.flagged
     assert fit.power_r_squared > fit.r_squared
 
 
@@ -242,13 +246,15 @@ def test_gap_sweep_mirror_pair_below_floor():
 
 
 def test_gap_sweep_empty_h_list_is_an_error():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     with pytest.raises(PreconditionError, match="h_list"):
         gap_sweep(plus, minus, [], Grid(8.0, 1023), window="ground")
 
 
 def test_gap_sweep_defaults_fit():
-    plus, minus = default_pair()
+    plus = PotentialSpec()
+    minus = plus.reflected()
     curve = gap_sweep(plus, minus, np.geomspace(0.25, 1.0, 12),
                       Grid(8.0, 4095), window="ground")
     usable = curve.usable_entries()
@@ -256,7 +262,7 @@ def test_gap_sweep_defaults_fit():
     assert curve.fit is not None
     assert curve.fit.c > 0.0
     assert curve.fit.r_squared >= 0.98
-    assert not curve.fit.flagged
+    assert curve.fit.power_r_squared <= curve.fit.r_squared
     table = superpoly_decay_table(curve)
     for N in (2, 4, 6, 8):
         assert table[N]["monotone"]

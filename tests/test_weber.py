@@ -32,7 +32,7 @@ def test_lambda1_strictly_inside_window(bundle):
 
 def test_normalization_matches_ground_state(bundle):
     _, u1, w = bundle
-    assert float(w.value(-3.0)) == pytest.approx(float(u1(-3.0)), rel=1e-14)
+    assert float(w.dense(-3.0)) == pytest.approx(float(u1(-3.0)), rel=1e-14)
 
 
 def test_ground_state_is_normalized(bundle):
@@ -130,7 +130,7 @@ def test_grid_eigenvector_consistency(bundle):
     u = eigenvector(T, lam_g)
     x = g.nodes()
     sel = (x >= -7.5) & (x <= -3.0)
-    diff = np.abs(u[sel] - w.value(x[sel]))
+    diff = np.abs(u[sel] - w.dense(x[sel]))
     assert float(np.max(diff)) <= 1e-7
 
 
@@ -175,9 +175,9 @@ def test_trace_reconstruction_matches_weber(bundle):
     from specpair.pruefer import CoefficientQ, integrate_angle
 
     lam1, _, w = bundle
-    th0 = math.atan2(float(w.value(-3.0)), float(w.derivative(-3.0)))
+    th0 = math.atan2(float(w.dense(-3.0)), float(w.dense.derivative(-3.0)))
     tr = integrate_angle(CoefficientQ(lam=lam1), -3.0, th0, 0.0)
     r = np.exp(tr.log_rs - tr.log_rs[0])
-    w_rec = float(w.value(-3.0)) / math.sin(th0) * r * np.sin(tr.thetas)
-    w_ref = w.value(tr.xs)
+    w_rec = float(w.dense(-3.0)) / math.sin(th0) * r * np.sin(tr.thetas)
+    w_ref = w.dense(tr.xs)
     assert float(np.max(np.abs(w_rec - w_ref))) <= 1e-8
