@@ -405,19 +405,19 @@ def _exp_pruefer(cfg: ExperimentConfig, rep: Report):
     qb = pruefer.CoefficientQ(lam=lam1)                 # bare oscillator
     qs = pruefer.CoefficientQ(lam=lam1, potential=base)  # with the alpha bump
     th0 = math.atan2(float(w.dense(-3.0)), float(w.dense.derivative(-3.0)))
-    tb, ts = pruefer.integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
-    ang = pruefer.compare_angles(tb, ts)
+    pair = pruefer.integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
+    ang = pruefer.compare_angles(pair)
     rep.check("pruefer.angle_ordering", ang.ok, ang.min_margin + pruefer.COMPARE_TOL,
               f"perturbed angle stays below the bare one, min margin "
               f"{ang.min_margin:.2e} at x = {ang.argmin_x:.3f}")
-    sol = pruefer.compare_solutions(float(u1(-3.0)), tb, ts, (-3.0, -w.a))
+    sol = pruefer.compare_solutions(pair, float(u1(-3.0)))
     rep.check("pruefer.solution_ordering", sol.ok, sol.min_margin + pruefer.COMPARE_TOL,
               f"perturbed ground state dominates W on [-3, -a], min margin "
               f"{sol.min_margin:.2e}")
     rep.tables["comparison"] = [
         {"x": float(x), "u1": float(us), "W": float(ub)}
         for x, us, ub in zip(sol.xs[::5], sol.u_small_eq[::5], sol.u_big_eq[::5])]
-    for name, tr in (("trace_bare", tb), ("trace_perturbed", ts)):
+    for name, tr in (("trace_bare", pair.big), ("trace_perturbed", pair.small)):
         rep.tables[name] = [{"x": float(x), "theta": float(th), "log_r": float(lr)}
                             for x, th, lr in zip(tr.xs, tr.thetas, tr.log_rs)]
 

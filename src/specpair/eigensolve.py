@@ -55,20 +55,6 @@ from . import _dd
 from .errors import ConvergenceError, GridMarginError, PreconditionError, WindowCapError
 from .potential import PotentialSpec, potential_eval
 
-__all__ = [
-    "Grid",
-    "TridiagonalOperator",
-    "Spectrum",
-    "discretize",
-    "count_below",
-    "eigenvalues_below",
-    "eigenvalues_below_multi",
-    "refine",
-    "refine_multi",
-    "richardson",
-    "eigenvector",
-]
-
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
 

@@ -51,13 +51,17 @@ def fill_defaults(d: dict, defaults: dict, where: str) -> dict:
 def check_real(v, key: str, positive: bool = False) -> float:
     """``v`` as a float; anything but a finite number (> 0 if ``positive``) raises naming ``key``.
 
-    bool and str are not numbers here.
+    bool and str are not numbers here, and an integer beyond the float range
+    is not finite.
     """
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) \
-            or (positive and not v > 0):
+    try:
+        x = math.nan if isinstance(v, bool) or not isinstance(v, numbers.Real) else float(v)
+    except OverflowError:
+        x = math.nan
+    if not math.isfinite(x) or (positive and not x > 0):
         raise PreconditionError(
             f"{key} must be a finite number{' > 0' if positive else ''}, got {v!r}")
-    return float(v)
+    return x
 
 
 def check_root(res, what: str, a: float, b: float) -> None:

@@ -22,17 +22,6 @@ from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize,
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
-__all__ = [
-    "Level",
-    "VariationResult",
-    "AsymmetryWitness",
-    "solve_level",
-    "variational_derivative",
-    "fd_oracle",
-    "variation_check",
-    "constant_direction_sanity",
-    "asymmetry_witness",
-]
 
 @dataclass(frozen=True, eq=False)
 class Level:

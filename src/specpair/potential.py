@@ -18,18 +18,6 @@ import numpy as np
 
 from .errors import PreconditionError, check_real, fill_defaults
 
-__all__ = [
-    "BumpSpec",
-    "PotentialSpec",
-    "ValidationReport",
-    "bump_eval",
-    "bump_derivative",
-    "potential_eval",
-    "potential_derivative",
-    "validate",
-    "harmonic",
-]
-
 # support boxes the bumps must stay inside
 ALPHA_WINDOW = (-3.0, -2.0)
 BETA_WINDOW = (3.0, 4.0)

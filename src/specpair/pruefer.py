@@ -22,18 +22,6 @@ from . import _rk
 from .errors import BracketError, PreconditionError, check_root
 from .potential import PotentialSpec, harmonic
 
-__all__ = [
-    "CoefficientQ",
-    "PrueferTrace",
-    "AngleComparison",
-    "SolutionComparison",
-    "integrate_angle",
-    "integrate_angle_pair",
-    "compare_angles",
-    "compare_solutions",
-    "shoot_eigenvalue",
-]
-
 
 EPS_PER_LENGTH = 1e-11   # local error per unit length of the angle integrations
 MAX_STEP = 0.02          # their largest step, so traces sample the path densely
@@ -85,8 +73,28 @@ class PrueferTrace:
     xs: np.ndarray
     thetas: np.ndarray
     log_rs: np.ndarray
-    start: tuple[float, float]
-    q: CoefficientQ
+
+
+@dataclass(frozen=True)
+class TracePair:
+    """Traces of the angle systems of ``q_big`` and ``q_small`` from one start.
+
+    Both must start at the same (x, theta) and share their abscissae, which
+    ``integrate_angle_pair`` guarantees; any other pair is refused here.
+    """
+
+    q_big: CoefficientQ
+    q_small: CoefficientQ
+    big: PrueferTrace
+    small: PrueferTrace
+
+    def __post_init__(self):
+        b, s = self.big, self.small
+        if b.xs[0] != s.xs[0] or b.thetas[0] != s.thetas[0]:
+            raise PreconditionError("traces must share the start point and angle")
+        if not np.array_equal(b.xs, s.xs):
+            raise PreconditionError(
+                "traces must share their abscissae; integrate them with integrate_angle_pair")
 
 
 def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float) -> PrueferTrace:
@@ -96,12 +104,11 @@ def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float) -> Pru
     largest error over the components, and the copy only repeats them, so
     the trace is the one a single system would give, bit for bit.
     """
-    return integrate_angle_pair(q, q, x0, theta0, x1)[0]
+    return integrate_angle_pair(q, q, x0, theta0, x1).big
 
 
 def integrate_angle_pair(q_big: CoefficientQ, q_small: CoefficientQ,
-                         x0: float, theta0: float,
-                         x1: float) -> tuple[PrueferTrace, PrueferTrace]:
+                         x0: float, theta0: float, x1: float) -> TracePair:
     """Integrate both angle systems jointly so the traces share step points."""
     if not x0 < x1:
         raise PreconditionError("need x0 < x1")
@@ -121,9 +128,8 @@ def integrate_angle_pair(q_big: CoefficientQ, q_small: CoefficientQ,
                            eps_per_length=EPS_PER_LENGTH, max_step=MAX_STEP)
     arr = np.asarray(ys)
     xs = np.asarray(xs)
-    tb = PrueferTrace(xs=xs, thetas=arr[:, 0], log_rs=arr[:, 1], start=(x0, theta0), q=q_big)
-    ts = PrueferTrace(xs=xs, thetas=arr[:, 2], log_rs=arr[:, 3], start=(x0, theta0), q=q_small)
-    return tb, ts
+    return TracePair(q_big, q_small, PrueferTrace(xs, arr[:, 0], arr[:, 1]),
+                     PrueferTrace(xs, arr[:, 2], arr[:, 3]))
 
 
 @dataclass
@@ -131,47 +137,32 @@ class AngleComparison:
     ok: bool
     min_margin: float          # min over samples of theta_big - theta_small
     argmin_x: float
-    n_samples: int
 
 
-def _check_shared(trace_big: PrueferTrace, trace_small: PrueferTrace) -> None:
-    """Raise unless both traces start alike and share their abscissae."""
-    if trace_big.start != trace_small.start:
-        raise PreconditionError("traces must share the start point and angle")
-    if not np.array_equal(trace_big.xs, trace_small.xs):
-        raise PreconditionError(
-            "traces must share their abscissae; integrate them with integrate_angle_pair")
+def compare_angles(pair: TracePair) -> AngleComparison:
+    """Check theta_small <= theta_big + COMPARE_TOL pointwise along the pair.
 
-
-def compare_angles(trace_big: PrueferTrace, trace_small: PrueferTrace) -> AngleComparison:
-    """Check theta_small <= theta_big + COMPARE_TOL pointwise along the traces.
-
-    Requires Q_small <= Q_big on the traces' span (validated by dense
-    sampling of their coefficients) and traces from ``integrate_angle_pair``.
+    Requires Q_small <= Q_big on the pair's span (validated by dense
+    sampling of the coefficients).
     """
-    _check_shared(trace_big, trace_small)
-    qb = trace_big.q.scalar_fn()
-    qs = trace_small.q.scalar_fn()
-    for x in np.arange(trace_big.start[0], trace_big.xs[-1] + 5e-4, 1e-3):
+    qb = pair.q_big.scalar_fn()
+    qs = pair.q_small.scalar_fn()
+    xs = pair.big.xs
+    for x in np.arange(xs[0], xs[-1] + 5e-4, 1e-3):
         if qs(float(x)) > qb(float(x)) + 1e-12:
             raise PreconditionError(
                 f"Q ordering violated at x = {x:.6g}: "
                 f"{qs(float(x)):.6g} > {qb(float(x)):.6g}")
-    margins = trace_big.thetas - trace_small.thetas
+    margins = pair.big.thetas - pair.small.thetas
     i = int(np.argmin(margins))
     return AngleComparison(ok=bool(margins[i] >= -COMPARE_TOL),
-                           min_margin=float(margins[i]),
-                           argmin_x=float(trace_big.xs[i]),
-                           n_samples=int(margins.size))
+                           min_margin=float(margins[i]), argmin_x=float(xs[i]))
 
 
 @dataclass
 class SolutionComparison:
     ok: bool
     min_margin: float          # min over samples of u_small_eq - u_big_eq
-    max_margin: float
-    argmin_x: float
-    n_samples: int
     xs: np.ndarray
     u_small_eq: np.ndarray     # solution of the smaller-Q equation (the perturbed one)
     u_big_eq: np.ndarray
@@ -179,55 +170,32 @@ class SolutionComparison:
 
 def _reconstruct(trace: PrueferTrace, start_value: float) -> np.ndarray:
     """Solution values r sin(theta) from a trace, scaled to match start_value."""
-    s0 = math.sin(trace.start[1])
+    s0 = math.sin(trace.thetas[0])
     if abs(s0) < 1e-300:
         raise PreconditionError("start angle has sin(theta0) = 0; cannot scale")
     r = np.exp(trace.log_rs - trace.log_rs[0])
     return (start_value / s0) * r * np.sin(trace.thetas)
 
 
-def compare_solutions(u_small_start: float, trace_big: PrueferTrace,
-                      trace_small: PrueferTrace,
-                      interval: tuple[float, float]) -> SolutionComparison:
-    """Check u_small_eq >= u_big_eq - COMPARE_TOL on the interval.
+def compare_solutions(pair: TracePair, u_start: float) -> SolutionComparison:
+    """Check u_small_eq >= u_big_eq - COMPARE_TOL on the pair's span.
 
-    The interval must lie within the traces' span; one that reaches past it
-    is an error, not a check of the covered part.
-
-    Solutions are rebuilt from the angle/log-radius paths of
-    ``integrate_angle_pair`` with matched value at the shared start.  The
-    smaller coefficient Q produces the pointwise larger solution here
-    because its angle stays in (0, pi/2] on the interval; leaving that
-    region is reported as an error.
+    Solutions are rebuilt from the angle/log-radius paths with matched value
+    ``u_start`` at the shared start.  The smaller coefficient Q
+    produces the pointwise larger solution here because its angle stays in
+    (0, pi/2] on the span; leaving that region is reported as an error.
     """
-    _check_shared(trace_big, trace_small)
-    th0 = trace_big.start[1]
+    th0 = pair.big.thetas[0]
     if not 0.0 < th0 <= math.pi / 2:
         raise PreconditionError(f"start angle {th0} outside (0, pi/2]")
-    a, b = interval
-    lo, hi = trace_big.xs[0], trace_big.xs[-1]
-    if a < lo - 1e-12 or b > hi + 1e-12:
-        raise PreconditionError(
-            f"interval ({a}, {b}) reaches past the traces' span [{lo}, {hi}]")
-    sel = (trace_big.xs >= a - 1e-12) & (trace_big.xs <= b + 1e-12)
-    if not np.any(sel):
-        raise PreconditionError("interval contains no trace samples")
-    th_small = trace_small.thetas[sel]
+    th_small = pair.small.thetas
     if np.any(th_small <= 0.0) or np.any(th_small > math.pi / 2 + 1e-9):
-        raise PreconditionError(
-            "interval leaves the validity region 0 < theta <= pi/2")
-    u_small = _reconstruct(trace_small, u_small_start)[sel]
-    u_big = _reconstruct(trace_big, u_small_start)[sel]
-    margins = u_small - u_big
-    i = int(np.argmin(margins))
-    return SolutionComparison(ok=bool(margins[i] >= -COMPARE_TOL),
-                              min_margin=float(margins[i]),
-                              max_margin=float(np.max(margins)),
-                              argmin_x=float(trace_big.xs[sel][i]),
-                              n_samples=int(margins.size),
-                              xs=trace_big.xs[sel],
-                              u_small_eq=u_small,
-                              u_big_eq=u_big)
+        raise PreconditionError("traces leave the validity region 0 < theta <= pi/2")
+    u_small = _reconstruct(pair.small, u_start)
+    u_big = _reconstruct(pair.big, u_start)
+    min_margin = float(np.min(u_small - u_big))
+    return SolutionComparison(ok=min_margin >= -COMPARE_TOL, min_margin=min_margin,
+                              xs=pair.big.xs, u_small_eq=u_small, u_big_eq=u_big)
 
 
 def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,

@@ -20,21 +20,6 @@ from .eigensolve import Grid, discretize, eigenvalues_below_multi, refine_multi,
 from .errors import PreconditionError, WindowCapError, check_real
 from .potential import BumpSpec, PotentialSpec, bump_eval, potential_eval
 
-__all__ = [
-    "TestFunction",
-    "GapEntry",
-    "GapFit",
-    "GapCurve",
-    "WeylFit",
-    "spectral_density",
-    "weyl_term",
-    "weyl_consistency",
-    "isospectral_distance",
-    "gap_sweep",
-    "fit_gap_decay",
-    "superpoly_decay_table",
-]
-
 TAIL_TOL = 1e-14      # certified bound on the density's tail beyond its window
 WINDOW_CAP = 60.0     # highest window a density may need for that bound
 SUPERPOLY_POWERS = (2, 4, 6, 8)   # the N of the D(h)/h^N monotonicity table

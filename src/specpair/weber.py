@@ -23,18 +23,6 @@ from . import pruefer
 from .errors import ConvergenceError, PreconditionError, check_root
 from .potential import PotentialSpec, potential_eval
 
-__all__ = [
-    "DenseSolution",
-    "WeberSolution",
-    "WeberPropertyReport",
-    "IdentityReport",
-    "matched_ground_state",
-    "ode_ground_state",
-    "solve_weber",
-    "check_properties",
-    "c_identities",
-]
-
 X_LEFT, X_RIGHT = -8.0, 8.0   # integration domain of u1 and W
 RTOL = 1e-12                  # DOP853 relative tolerance of both integrations
 DENSE_STEP = 1e-3             # spacing of the dense samples taken from them

@@ -139,9 +139,9 @@ def test_criterion_07_matching_suite(weber_bundle):
     qb = CoefficientQ(lam=lam1)
     qs = CoefficientQ(lam=lam1, potential=base)
     th0 = math.atan2(float(w.dense(-3.0)), float(w.dense.derivative(-3.0)))
-    tb, ts = integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
-    ang = compare_angles(tb, ts)
-    sol = compare_solutions(float(u1(-3.0)), tb, ts, (-3.0, -w.a))
+    pair = integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
+    ang = compare_angles(pair)
+    sol = compare_solutions(pair, float(u1(-3.0)))
 
     checks = {
         "theta ordering": ang.min_margin >= -1e-9,

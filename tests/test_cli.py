@@ -236,6 +236,10 @@ def test_unknown_config_key_is_an_error(tmp_path, bad, key):
     ({"E_window": 0.5}, "E_window", "spectrum"),    # below lambda_1 >= h = 1
     ({"grid": {"intervals": 6}}, "grid.intervals", "hadamard-check"),   # no node meets beta
     ({"grid": {"intervals": 8}}, "grid.intervals", "spectrum"),   # coarse grid n = 3
+    # integers beyond the float range
+    ({"h": 10**400}, "h", "validate"),
+    ({"grid": {"L": 10**400}}, "grid.L", "spectrum"),
+    ({"h_list": [0.5, 10**400]}, "h_list", "gap-sweep"),
 ])
 def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experiment):
     with pytest.raises(PreconditionError, match=rf"^{re.escape(key)}\b"):
@@ -270,6 +274,7 @@ def test_smallest_grid_gives_a_report_or_a_typed_error(tmp_path, experiment, pot
     ({"beta": {"center": 3.5, "half_width": 0.5, "amplitude": None}},
      "potential.beta.amplitude"),
     ({"alpha": {"center": float("nan"), "half_width": 0.5}}, "potential.alpha.center"),
+    ({"t": 10**400}, "potential.t"),   # an integer beyond the float range
 ])
 def test_invalid_potential_value_is_an_error(tmp_path, bad, key):
     with pytest.raises(PreconditionError, match=rf"^{re.escape(key)}\b"):

@@ -12,6 +12,7 @@ from specpair.potential import BumpSpec, PotentialSpec, harmonic, \
 from specpair.eigensolve import Grid, refine
 from specpair.pruefer import (
     CoefficientQ,
+    TracePair,
     compare_angles,
     compare_solutions,
     integrate_angle,
@@ -181,7 +182,7 @@ def test_shoot_matches_matrix_for_perturbed_pair():
 
 def test_compare_angles_identical():
     q = CoefficientQ(lam=1.2)
-    rep = compare_angles(*integrate_angle_pair(q, q, -3.0, 0.6, 0.0))
+    rep = compare_angles(integrate_angle_pair(q, q, -3.0, 0.6, 0.0))
     assert rep.ok
     assert rep.min_margin == 0.0
 
@@ -191,36 +192,36 @@ def test_compare_angles_perturbed_below_bare():
     lam = 1.00005
     qb = CoefficientQ(lam=lam)
     qs = CoefficientQ(lam=lam, potential=base)
-    rep = compare_angles(*integrate_angle_pair(qb, qs, -3.0, 0.7, 0.0))
+    pair = integrate_angle_pair(qb, qs, -3.0, 0.7, 0.0)
+    rep = compare_angles(pair)
     assert rep.ok
     assert rep.min_margin >= -1e-9
     # strictly positive once past the bump
-    assert rep.n_samples > 50
+    assert pair.big.xs.size > 50
 
 
 def test_compare_angles_strict_for_constants():
     qb = CoefficientQ(lam=0.0, const=1.0)
     qs = CoefficientQ(lam=0.0, const=0.0)
-    tb, ts = integrate_angle_pair(qb, qs, 0.0, math.pi / 4, 1.0)
-    rep = compare_angles(tb, ts)
+    pair = integrate_angle_pair(qb, qs, 0.0, math.pi / 4, 1.0)
+    rep = compare_angles(pair)
     assert rep.ok
-    assert tb.thetas[-1] > ts.thetas[-1]
+    assert pair.big.thetas[-1] > pair.small.thetas[-1]
 
 
 def test_compare_angles_ordering_precondition():
     qb = CoefficientQ(lam=0.0, const=0.0)
     qs = CoefficientQ(lam=0.0, const=1.0)   # larger, violating the ordering
     with pytest.raises(PreconditionError, match="Q ordering"):
-        compare_angles(*integrate_angle_pair(qb, qs, 0.0, 0.5, 1.0))
+        compare_angles(integrate_angle_pair(qb, qs, 0.0, 0.5, 1.0))
 
 
 def test_compare_solutions_identical_equations():
     q = CoefficientQ(lam=1.1)
-    tb, ts = integrate_angle_pair(q, q, -3.0, 0.5, -0.5)
-    rep = compare_solutions(0.01, tb, ts, (-3.0, -0.5))
+    rep = compare_solutions(integrate_angle_pair(q, q, -3.0, 0.5, -0.5), 0.01)
     assert rep.ok
     assert abs(rep.min_margin) <= 1e-12
-    assert abs(rep.max_margin) <= 1e-12
+    assert abs(np.max(rep.u_small_eq - rep.u_big_eq)) <= 1e-12
 
 
 def test_compare_solutions_perturbed_dominates():
@@ -229,11 +230,10 @@ def test_compare_solutions_perturbed_dominates():
     qb = CoefficientQ(lam=lam)
     qs = CoefficientQ(lam=lam, potential=base)
     th0 = 0.25
-    tb, ts = integrate_angle_pair(qb, qs, -3.0, th0, -0.001)
-    rep = compare_solutions(0.00829, tb, ts, (-3.0, -0.001))
+    rep = compare_solutions(integrate_angle_pair(qb, qs, -3.0, th0, -0.001), 0.00829)
     assert rep.ok
     assert rep.min_margin >= -1e-9
-    assert rep.max_margin > 0.0
+    assert np.max(rep.u_small_eq - rep.u_big_eq) > 0.0
 
 
 def test_compare_solutions_against_second_order_oracle():
@@ -244,8 +244,7 @@ def test_compare_solutions_against_second_order_oracle():
     qs = CoefficientQ(lam=lam, potential=base)
     th0 = 0.3
     u0 = 0.008
-    tb, ts = integrate_angle_pair(qb, qs, -3.0, th0, -1.0)
-    rep = compare_solutions(u0, tb, ts, (-3.0, -1.0))
+    rep = compare_solutions(integrate_angle_pair(qb, qs, -3.0, th0, -1.0), u0)
 
     qf = qs.scalar_fn()
 
@@ -262,43 +261,32 @@ def test_compare_solutions_against_second_order_oracle():
 
 
 def test_compare_solutions_region_guard():
-    # an interval extending past the angle pi/2 crossing must be rejected
+    # traces that pass the angle pi/2 crossing must be rejected
     q = CoefficientQ(lam=2.5)
-    tb, ts = integrate_angle_pair(q, q, -3.0, 1.2, 2.0)
     with pytest.raises(PreconditionError):
-        compare_solutions(0.01, tb, ts, (-3.0, 2.0))
-
-
-@pytest.mark.parametrize("interval", [(-3.0, 5.0), (-10.0, -2.9)])
-def test_compare_solutions_interval_within_traces(interval):
-    # the traces cover [-3, -1]; a longer interval must not pass on that part
-    q = CoefficientQ(lam=1.1)
-    tb, ts = integrate_angle_pair(q, q, -3.0, 0.5, -1.0)
-    with pytest.raises(PreconditionError, match="span"):
-        compare_solutions(0.01, tb, ts, interval)
+        compare_solutions(integrate_angle_pair(q, q, -3.0, 1.2, 2.0), 0.01)
 
 
 def test_compare_solutions_start_mismatch():
     q = CoefficientQ(lam=1.1)
     t1 = integrate_angle(q, -3.0, 0.5, 0.0)
     t2 = integrate_angle(q, -3.0, 0.6, 0.0)
-    with pytest.raises(PreconditionError):
-        compare_solutions(0.01, t1, t2, (-3.0, -1.0))
+    with pytest.raises(PreconditionError, match="start"):
+        TracePair(q, q, t1, t2)
 
 
 def test_comparisons_need_shared_abscissae():
-    # separately integrated traces step differently past the bump; both
-    # comparisons refuse them instead of re-integrating behind the caller
+    # separately integrated traces step differently past the bump; a pair of
+    # them is refused instead of re-integrated behind the caller
     lam = 1.00005
     qb = CoefficientQ(lam=lam)
     qs = CoefficientQ(lam=lam, potential=PotentialSpec(t=0.05, eps=0.0))
     tb = integrate_angle(qb, -3.0, 0.3, -1.0)
     ts = integrate_angle(qs, -3.0, 0.3, -1.0)
-    assert tb.start == ts.start and not np.array_equal(tb.xs, ts.xs)
+    assert tb.xs[0] == ts.xs[0] and tb.thetas[0] == ts.thetas[0]
+    assert not np.array_equal(tb.xs, ts.xs)
     with pytest.raises(PreconditionError, match="abscissae"):
-        compare_angles(tb, ts)
-    with pytest.raises(PreconditionError, match="abscissae"):
-        compare_solutions(0.008, tb, ts, (-3.0, -1.0))
+        TracePair(qb, qs, tb, ts)
 
 
 def test_pruefer_compare_integrates_the_pair_once(monkeypatch, tmp_path, weber_bundle):

@@ -1,8 +1,10 @@
-"""Start-up ratchet: experiments that never shoot or integrate load no scipy.optimize/integrate.
+"""Start-up ratchets: a module loads only what it uses.
 
 Only ``pruefer.shoot_eigenvalue``, ``weber`` and ``traces.weyl_term`` use
-them, so a fresh interpreter that imports the package, parses a config and
-runs the four matrix-only experiments must not have loaded either.
+scipy.optimize/integrate, so a fresh interpreter that imports the package,
+parses a config and runs the four matrix-only experiments must not have
+loaded either.  The package root imports nothing, so ``specpair.potential``
+loads only itself and ``specpair.errors``, and no scipy.
 """
 
 import json
@@ -41,3 +43,14 @@ def test_matrix_experiments_load_no_optimize_or_integrate(tmp_path):
     assert loaded["after_runs"] == []
     # positive control: the phase-space quadrature does load scipy.integrate
     assert "scipy.integrate" in loaded["after_weyl_term"]
+
+
+def test_potential_loads_only_itself_and_errors():
+    code = ("import json, sys; import specpair.potential; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('specpair', 'scipy'))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        "specpair", "specpair.errors", "specpair.potential"]
