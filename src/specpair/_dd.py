@@ -6,6 +6,12 @@ drowns in cancellation noise of size eps * ||T||.  Splitting every product
 and sum into (value, error) pairs keeps the residual accurate to roughly
 eps^2 * ||T||, which is what lets correlated eigenvalue differences be
 resolved near 1e-12 and below.
+
+``tridiag_residual`` runs Dekker's split and product and Knuth's sum in
+place, in a few work arrays reused for every step, instead of a fresh array
+per operation; each IEEE operation is the one the textbook composition of
+``split`` and ``two_sum`` (with the product's error term) performs, in the
+same order, so the residual is the same to the bit.
 """
 
 from __future__ import annotations
@@ -30,17 +36,40 @@ def split(a):
     return ah, a - ah
 
 
-def two_prod(a, b, b_split=None):
-    """Exact product: returns (p, e) with p = fl(a*b) and a*b = p + e.
+def _split_into(a, hi, lo):
+    """``split(a)`` written into ``hi`` and ``lo``, the same operations in the same order."""
+    np.multiply(a, _SPLITTER, out=hi)
+    np.subtract(hi, a, out=lo)
+    hi -= lo
+    np.subtract(a, hi, out=lo)
 
-    ``b_split`` is ``split(b)`` when the caller already has it, so an
-    operand of several products is split once.
+
+def _two_prod_error_into(a_split, b_split, p, e, t):
+    """The error of the product p = fl(a*b) written into ``e``; ``t`` is a work array.
+
+    a*b = p + e exactly, from the splits of a and b; ``a_split`` may be a
+    pair of floats (a scalar operand).
     """
-    p = a * b
-    ah, al = split(a)
-    bh, bl = b_split or split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
+    ah, al = a_split
+    bh, bl = b_split
+    np.multiply(ah, bh, out=e)
+    e -= p
+    np.multiply(ah, bl, out=t)
+    e += t
+    np.multiply(al, bh, out=t)
+    e += t
+    np.multiply(al, bl, out=t)
+    e += t
+
+
+def _two_sum_into(a, b, s, e, t):
+    """``two_sum(a, b)`` written into ``s`` and ``e``; ``t`` is a work array."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=t)
+    np.subtract(s, t, out=e)
+    np.subtract(a, e, out=e)
+    np.subtract(b, t, out=t)
+    e += t
 
 
 def tridiag_residual(diag, off, u, lam_hi, lam_lo=0.0,
@@ -55,30 +84,47 @@ def tridiag_residual(diag, off, u, lam_hi, lam_lo=0.0,
     """
     diag = np.asarray(diag, dtype=float)
     u = np.asarray(u, dtype=float)
-    u_split = split(u)
+    p_hi, p_lo, u_hi, u_lo, a, b, c, d, t = np.empty((9, u.size))
+    _split_into(u, u_hi, u_lo)
 
     # shifted diagonal term (diag - lam) * u, keeping the subtraction exact
-    d_hi, d_lo = two_sum(diag, -lam_hi)
-    d_lo = d_lo - lam_lo
-    p_hi, p_lo = two_prod(d_hi, u, b_split=u_split)
-    p_lo = p_lo + d_lo * u
+    _two_sum_into(diag, -lam_hi, a, b, t)               # (d_hi, d_lo) in (a, b)
+    b -= lam_lo
+    np.multiply(a, u, out=p_hi)
+    _split_into(a, c, d)
+    _two_prod_error_into((c, d), (u_hi, u_lo), p_hi, p_lo, t)
+    np.multiply(b, u, out=t)
+    p_lo += t
 
     if extra_diag is not None:
-        b_hi, b_lo = two_prod(np.asarray(extra_diag, dtype=float), u, b_split=u_split)
-        sb_hi, sb_e = two_prod(extra_scale, b_hi)
-        t_hi, t_e = two_sum(p_hi, sb_hi)
-        p_hi = t_hi
-        p_lo = p_lo + t_e + sb_e + extra_scale * b_lo
+        extra = np.asarray(extra_diag, dtype=float)
+        e, f = np.empty((2, u.size))
+        np.multiply(extra, u, out=a)                    # (b_hi, b_lo) in (a, b)
+        _split_into(extra, c, d)
+        _two_prod_error_into((c, d), (u_hi, u_lo), a, b, t)
+        np.multiply(extra_scale, a, out=c)              # (sb_hi, sb_e) in (c, f)
+        _split_into(a, d, e)
+        _two_prod_error_into(split(extra_scale), (d, e), c, f, t)
+        _two_sum_into(p_hi, c, d, e, t)                 # (t_hi, t_e) in (d, e)
+        p_hi[:] = d
+        p_lo += e
+        p_lo += f
+        np.multiply(extra_scale, b, out=t)
+        p_lo += t
 
     # neighbor terms off * u[i-1] and off * u[i+1] from one exact product,
     # accumulated with error-free sums
-    q_hi, q_lo = two_prod(off, u, b_split=u_split)
-    s_hi, s_e = two_sum(p_hi[1:], q_hi[:-1])
+    np.multiply(off, u, out=a)                          # (q_hi, q_lo) in (a, b)
+    _two_prod_error_into(split(off), (u_hi, u_lo), a, b, t)
+    s_hi, s_e, t = c[:-1], d[:-1], t[:-1]
+    _two_sum_into(p_hi[1:], a[:-1], s_hi, s_e, t)
     p_hi[1:] = s_hi
-    p_lo[1:] = p_lo[1:] + q_lo[:-1] + s_e
-    s_hi, s_e = two_sum(p_hi[:-1], q_hi[1:])
+    p_lo[1:] += b[:-1]
+    p_lo[1:] += s_e
+    _two_sum_into(p_hi[:-1], a[1:], s_hi, s_e, t)
     p_hi[:-1] = s_hi
-    p_lo[:-1] = p_lo[:-1] + q_lo[1:] + s_e
+    p_lo[:-1] += b[1:]
+    p_lo[:-1] += s_e
     return p_hi, p_lo
 
 

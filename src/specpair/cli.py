@@ -37,10 +37,13 @@ DEFAULTS: dict = {
 }
 
 
-def _count(v, key: str) -> int:
-    """``v`` as an int; anything but an integer >= 1 raises naming ``key``."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-        raise PreconditionError(f"{key} must be an integer >= 1, got {v!r}")
+INTERVALS_CAP = 2**20   # most grid intervals a config may ask for, 256 times the default
+
+
+def _count(v, key: str, cap: int) -> int:
+    """``v`` as an int; anything but an integer in 1..``cap`` raises naming ``key``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 1 <= v <= cap:
+        raise PreconditionError(f"{key} must be an integer in 1..{cap}, got {v!r}")
     return int(v)
 
 
@@ -76,7 +79,7 @@ class ExperimentConfig:
         pot = PotentialSpec.from_dict(merged["potential"])
         g = merged["grid"]
         L = check_real(g["L"], "grid.L", positive=True)
-        intervals = _count(g["intervals"], "grid.intervals")
+        intervals = _count(g["intervals"], "grid.intervals", INTERVALS_CAP)
         try:
             grid = Grid(L, intervals - 1)
             grid.coarse()
@@ -96,7 +99,8 @@ class ExperimentConfig:
                    E_window=E_window, gap_window=gw,
                    eps_fd=check_real(merged["eps_fd"], "eps_fd", positive=True),
                    shoot_h_list=_positive_list(merged["shoot_h_list"], "shoot_h_list"),
-                   shoot_j_max=_count(merged["shoot_j_max"], "shoot_j_max"),
+                   shoot_j_max=_count(merged["shoot_j_max"], "shoot_j_max",
+                                      eigensolve.LEVEL_CAP),
                    out_dir=_out_dir(merged["out_dir"]), raw=merged)
 
     def pair(self) -> tuple[PotentialSpec, PotentialSpec]:
@@ -567,7 +571,7 @@ def main(argv=None) -> int:
     parser.add_argument("--t", type=float, default=None, help="alpha bump strength")
     parser.add_argument("--eps", type=float, default=None, help="beta bump strength")
     parser.add_argument("--grid-n", type=int, default=None,
-                        help="grid subintervals (even, >= 16; interior points = n-1)")
+                        help="grid subintervals (even, 16..2**20; interior points = n-1)")
     parser.add_argument("--grid-L", type=float, default=None,
                         help="grid truncation half-length")
     parser.add_argument("--print-defaults", action="store_true",

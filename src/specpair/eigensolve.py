@@ -190,6 +190,11 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
+def _norm(w: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float array, bit for bit, without its dispatch."""
+    return math.sqrt(np.dot(w, w))
+
+
 def _inverse_iteration(T: TridiagonalOperator, lam: float) -> tuple[np.ndarray, float]:
     """Unit-norm eigenvector for the eigenvalue nearest ``lam``, and that eigenvalue.
 
@@ -214,14 +219,16 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float) -> tuple[np.ndarray, 
         w, info = dgttrs(dl, d, du, du2, ipiv, v)
         if info != 0:
             raise ConvergenceError(f"dgttrs failed with info = {info}")
-        growth = np.linalg.norm(w)
-        return w / growth, growth
+        growth = _norm(w)
+        w /= growth
+        return w, growth
 
     floor = 8.0 * _EPS * T.norm1()
     v = _start_vector(T.n)
+    diff = np.empty(T.n)
     for _ in range(INVERSE_MAX_ITER):
         x, growth = solve(v)
-        bound = min(np.linalg.norm(x - v), np.linalg.norm(x + v)) / growth
+        bound = min(_norm(np.subtract(x, v, out=diff)), _norm(np.add(x, v, out=diff))) / growth
         if bound <= floor:
             y, growth = solve(x)
             return y, sigma + float(np.dot(x, y)) / growth

@@ -89,7 +89,13 @@ def _named(where: str, cls, **fields):
 
 
 def _mollifier(u):
-    """exp(1 - 1/(1-u^2)) for |u| < 1, else 0; vectorized."""
+    """exp(1 - 1/(1-u^2)) for |u| < 1, else 0; vectorized, and a float for a Python float.
+
+    A float takes the array path's IEEE operations and ``np.exp``
+    (``math.exp`` may differ in the last bit), so the two agree bit for bit.
+    """
+    if type(u) is float:
+        return float(np.exp(1.0 - 1.0 / (1.0 - u * u))) if -1.0 < u < 1.0 else 0.0
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
@@ -112,8 +118,8 @@ def _mollifier_du(u):
 def bump_eval(b: BumpSpec, x):
     """Evaluate a bump at scalar or array ``x``; total function, result in [0, amplitude]."""
     scalar = np.isscalar(x)
-    u = (np.asarray(x, dtype=float) - b.center) / b.half_width
-    val = b.amplitude * _mollifier(u)
+    xa = float(x) if scalar else np.asarray(x, dtype=float)
+    val = b.amplitude * _mollifier((xa - b.center) / b.half_width)
     return float(val) if scalar else val
 
 
@@ -173,9 +179,12 @@ class PotentialSpec:
 
 
 def potential_eval(p: PotentialSpec, x):
-    """V(x) = x^2 + t*alpha(x) + eps*beta(x) (or beta(-x) when reflected)."""
+    """V(x) = x^2 + t*alpha(x) + eps*beta(x) (or beta(-x) when reflected).
+
+    A scalar ``x`` runs in floats, with the array path's operations.
+    """
     scalar = np.isscalar(x)
-    xa = np.asarray(x, dtype=float)
+    xa = float(x) if scalar else np.asarray(x, dtype=float)
     v = xa * xa
     if p.t != 0.0:
         v = v + p.t * bump_eval(p.alpha, xa)

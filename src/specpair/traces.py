@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -96,6 +96,18 @@ def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
     return float(np.sum(f(lam)))
 
 
+@cache
+def _legendre_rules(leggauss):
+    """``weyl_term``'s 128- and 256-point Gauss-Legendre rules, built once per ``leggauss``.
+
+    Returns both rules' nodes in one array, then each rule's weights.
+    Keying the cache on the rule function lets a replaced ``leggauss``
+    build its own rules.
+    """
+    (n_c, w_c), (n_f, w_f) = (leggauss(n) for n in (128, 256))
+    return np.concatenate((n_c, n_f)), w_c, w_f
+
+
 def weyl_term(p: PotentialSpec, f: TestFunction) -> float:
     """Phase-space integral of f(xi^2 + V(x)) dx dxi by adaptive quadrature in x.
 
@@ -126,8 +138,8 @@ def weyl_term(p: PotentialSpec, f: TestFunction) -> float:
     # bump: energies inside (bot, top) only
     bot, top = f.center - f.half_width, f.center + f.half_width
     x_max = math.sqrt(max(top, 0.0)) + 1e-9
-    (n_c, w_c), (n_f, w_f) = (np.polynomial.legendre.leggauss(n) for n in (128, 256))
-    nodes = np.concatenate((n_c, n_f))
+    nodes, w_c, w_f = _legendre_rules(np.polynomial.legendre.leggauss)
+    n_c = w_c.size
 
     def g(x):
         v = potential_eval(p, x)
@@ -139,8 +151,8 @@ def weyl_term(p: PotentialSpec, f: TestFunction) -> float:
         hi = math.sqrt(top - v)
         mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
         vals = f((mid + rad * nodes) ** 2 + v)
-        coarse = 2.0 * rad * float(w_c @ vals[:n_c.size])
-        inner = 2.0 * rad * float(w_f @ vals[n_c.size:])
+        coarse = 2.0 * rad * float(w_c @ vals[:n_c])
+        inner = 2.0 * rad * float(w_f @ vals[n_c:])
         ierr = abs(inner - coarse)
         if ierr > max(WEYL_ABS_TOL * 1e-4, 1e-12 * abs(inner)):
             raise PreconditionError(

@@ -240,6 +240,12 @@ def test_unknown_config_key_is_an_error(tmp_path, bad, key):
     ({"h": 10**400}, "h", "validate"),
     ({"grid": {"L": 10**400}}, "grid.L", "spectrum"),
     ({"h_list": [0.5, 10**400]}, "h_list", "gap-sweep"),
+    # counts above their caps
+    ({"grid": {"intervals": 10**400}}, "grid.intervals", "spectrum"),
+    ({"grid": {"intervals": 2**40}}, "grid.intervals", "spectrum"),
+    ({"grid": {"intervals": cli.INTERVALS_CAP + 2}}, "grid.intervals", "spectrum"),
+    ({"shoot_j_max": 10**6}, "shoot_j_max", "pruefer-compare"),
+    ({"shoot_j_max": eigensolve.LEVEL_CAP + 1}, "shoot_j_max", "pruefer-compare"),
 ])
 def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experiment):
     with pytest.raises(PreconditionError, match=rf"^{re.escape(key)}\b"):
@@ -247,6 +253,13 @@ def test_empty_or_invalid_config_value_is_an_error(tmp_path, bad, key, experimen
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
     assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_counts_at_their_caps_parse():
+    cfg = cli.ExperimentConfig.from_dict({"grid": {"intervals": cli.INTERVALS_CAP},
+                                          "shoot_j_max": eigensolve.LEVEL_CAP})
+    assert cfg.grid.n == cli.INTERVALS_CAP - 1
+    assert cfg.shoot_j_max == eigensolve.LEVEL_CAP
 
 
 @pytest.mark.parametrize("potential", [{}, {"t": 0.0, "eps": 0.0}])

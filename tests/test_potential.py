@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specpair.errors import PreconditionError
 from specpair.potential import (
@@ -159,3 +160,25 @@ def test_json_round_trip():
     d = json.loads(json.dumps(p.to_dict()))
     assert PotentialSpec.from_dict(d) == p
     assert set(d) == {"t", "eps", "reflect_beta", "alpha", "beta"}
+
+
+# support edges of both bumps and of the reflected beta, each with its two neighbouring floats
+EDGES = [e for b in (ALPHA, BETA) for e in b.support]
+EDGE_POINTS = st.sampled_from(EDGES + [-e for e in EDGES]).flatmap(
+    lambda e: st.sampled_from([e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.floats(-6.0, 6.0), EDGE_POINTS), t=st.floats(0.0, 0.2),
+       eps=st.floats(0.0, 0.2), reflect=st.booleans(), amplitude=st.sampled_from([1.0, 2, 0.75]))
+def test_a_float_gives_the_array_path_bit_for_bit(x, t, eps, reflect, amplitude):
+    beta = BumpSpec(center=3.5, half_width=0.5, amplitude=amplitude)
+    p = PotentialSpec(t=t, eps=eps, reflect_beta=reflect, beta=beta)
+    xs = np.array([x])
+    got = potential_eval(p, x)
+    assert type(got) is float
+    assert got.hex() == float(potential_eval(p, xs)[0]).hex()
+    for b in (ALPHA, beta):
+        got = bump_eval(b, x)
+        assert type(got) is float
+        assert got.hex() == float(bump_eval(b, xs)[0]).hex()
