@@ -36,16 +36,20 @@ mirror pairs stay exactly isospectral in floating point.  For the same
 reason a reflection-symmetric potential such as the bare oscillator gives
 an exactly persymmetric matrix, whose eigenvectors are even or odd.  Its
 levels are bracketed, inverse-iterated and polished as two half-size
-blocks, about half the work.  The polish's compensated Rayleigh quotient
-of the even or odd vector a block vector stands for is taken on the stored
-T's own rows over one half of the grid, so every value is a Rayleigh
-quotient of the stored T either way.
+blocks, about half the work.  A block is plain arrays: its diagonal and
+off-diagonal, and its residual floor 8 eps ||B||_1, computed once by
+``_floor``, the floor's one owner.  The polish's compensated Rayleigh
+quotient of the even or odd vector a block vector stands for is taken on
+the stored T's own rows over one half of the grid, so every value is a
+Rayleigh quotient of the stored T either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -113,13 +117,6 @@ class TridiagonalOperator:
     off_value: float          # the shared off-diagonal entry
     v_boundary: float         # V at the truncation points
 
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def norm1(self) -> float:
-        return float(np.max(np.abs(self.diag))) + 2.0 * abs(self.off_value)
-
 
 def discretize(p: PotentialSpec, h: float, grid: Grid) -> TridiagonalOperator:
     """Build the tridiagonal operator for potential ``p`` at parameter ``h``.
@@ -177,17 +174,23 @@ def count_below(T: TridiagonalOperator, lam: float) -> int:
 # Inverse iteration and the compensated polish
 # ---------------------------------------------------------------------------
 
-_START_CACHE: dict[int, np.ndarray] = {}
+def _floor(diag: np.ndarray, off: float) -> float:
+    """The residual floor 8 eps ||T||_1 of a tridiagonal, ||T||_1 bounded by max|diag| + 2|off|."""
+    return 8.0 * _EPS * (float(np.max(np.abs(diag))) + 2.0 * abs(off))
 
 
+class _Block(NamedTuple):
+    """A matrix inverse iteration runs on: T itself or a parity block, with its floor."""
+
+    diag: np.ndarray
+    offdiag: np.ndarray
+    floor: float
+
+
+@cache
 def _start_vector(n: int) -> np.ndarray:
-    v = _START_CACHE.get(n)
-    if v is None:
-        rng = np.random.default_rng(0x5eed)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        _START_CACHE[n] = v
-    return v
+    v = np.random.default_rng(0x5eed).standard_normal(n)
+    return v / np.linalg.norm(v)
 
 
 def _norm(w: np.ndarray) -> float:
@@ -195,23 +198,24 @@ def _norm(w: np.ndarray) -> float:
     return math.sqrt(np.dot(w, w))
 
 
-def _inverse_iteration(T: TridiagonalOperator, lam: float) -> tuple[np.ndarray, float]:
+def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, floor: float,
+                       lam: float) -> tuple[np.ndarray, float]:
     """Unit-norm eigenvector for the eigenvalue nearest ``lam``, and that eigenvalue.
 
-    T - sigma (sigma = lam + INVERSE_SHIFT) is LU-factored once (LAPACK
-    ``dgttrf``) and each step is one ``dgttrs`` solve w = (T - sigma)^-1 v.
-    With ||v|| = 1 and x = w/||w||, min(||x - v||, ||x + v||)/||w|| bounds
-    the residual ||(T - rho(x)) x|| (Parlett, ch. 4).  Once that bound
-    reaches 8 eps ||T||_1 one more solve confirms the vector, as LAPACK
-    ``dstein`` does; ``INVERSE_MAX_ITER`` steps without it raise
-    ConvergenceError.
+    T has ``diag`` and ``offdiag``, and T - sigma (sigma = lam + INVERSE_SHIFT)
+    is LU-factored once (LAPACK ``dgttrf``); each step is one ``dgttrs`` solve
+    w = (T - sigma)^-1 v.  With ||v|| = 1 and x = w/||w||,
+    min(||x - v||, ||x + v||)/||w|| bounds the residual ||(T - rho(x)) x||
+    (Parlett, ch. 4).  Once that bound reaches ``floor`` (``_floor``) one more
+    solve confirms the vector, as LAPACK ``dstein`` does; ``INVERSE_MAX_ITER``
+    steps without it raise ConvergenceError.
     The confirming solve also gives the eigenvalue: for an eigenvector x,
     x . (T - sigma)^-1 x = 1/(lam - sigma), so sigma + (x . y)/||w|| (y the
     returned vector) is accurate to the solve's backward error, ~eps ||T||,
     however far sigma sits from the level.
     """
     sigma = lam + INVERSE_SHIFT
-    dl, d, du, du2, ipiv, info = dgttrf(T.offdiag, T.diag - sigma, T.offdiag)
+    dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - sigma, offdiag)
     if info != 0:
         raise ConvergenceError(f"dgttrf of T - {sigma:.17g} failed with info = {info}")
 
@@ -223,9 +227,8 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float) -> tuple[np.ndarray, 
         w /= growth
         return w, growth
 
-    floor = 8.0 * _EPS * T.norm1()
-    v = _start_vector(T.n)
-    diff = np.empty(T.n)
+    v = _start_vector(diag.size)
+    diff = np.empty(diag.size)
     for _ in range(INVERSE_MAX_ITER):
         x, growth = solve(v)
         bound = min(_norm(np.subtract(x, v, out=diff)), _norm(np.add(x, v, out=diff))) / growth
@@ -238,19 +241,19 @@ def _inverse_iteration(T: TridiagonalOperator, lam: float) -> tuple[np.ndarray, 
         f"{floor:.3e} after {INVERSE_MAX_ITER} steps")
 
 
-def _polish_one(T: TridiagonalOperator, lam: float, block=None, parity: int = 0):
-    """Inverse iteration + compensated Rayleigh quotient.
+def _polish_one(T: TridiagonalOperator, lam: float, block: _Block, parity: int = 0):
+    """Inverse iteration on ``block`` + compensated Rayleigh quotient on T.
 
     Returns (hi, lo, vec): the eigenvalue as an unevaluated double-double
     sum hi + lo, and the eigenvector used.  The Rayleigh correction is
     taken about inverse iteration's own eigenvalue estimate, not about
     ``lam``, so its rounding stays at eps^2 ||T|| however wide the bracket
-    around ``lam`` was.  With a parity ``block`` of T (``parity`` +1 even,
-    -1 odd; see ``_parity_blocks``) the iteration runs on the block,
+    around ``lam`` was.  With ``parity`` 0 the block is T itself.  With a
+    parity block of T (``parity`` +1 even, -1 odd; see ``_parity_blocks``)
     ``vec`` is the block's vector, and the correction is taken on T's own
     rows over half the grid (``_rayleigh_correction``).
     """
-    v, shift = _inverse_iteration(T if block is None else block, lam)
+    v, shift = _inverse_iteration(*block, lam)
     hi, lo = _dd.two_sum(shift, _rayleigh_correction(T, v, shift, parity))
     return hi, lo, v
 
@@ -272,7 +275,7 @@ def _rayleigh_correction(T: TridiagonalOperator, z: np.ndarray, shift: float,
     """
     if parity == 0:
         return _dd.rayleigh_correction(T.diag, T.off_value, z, shift)
-    m = T.n // 2
+    m = T.diag.size // 2
     if parity < 0:
         return _dd.rayleigh_correction(T.diag[m + 1:], T.off_value, z, shift)
     u = np.concatenate((z[1:2], z))
@@ -327,19 +330,19 @@ def _parity_blocks(T: TridiagonalOperator):
     then every eigenvector is even or odd about the centre row m.  Even
     vectors solve rows m..2m, whose 2*off coupling at the centre becomes
     sqrt(2)*off once the centre entry is scaled by 1/sqrt(2); odd vectors
-    vanish at the centre and solve rows m+1..2m.  Returns
-    ((even, +1), (odd, -1)), or None for any other T.
+    vanish at the centre and solve rows m+1..2m.  Returns ((even, +1),
+    (odd, -1)), each block's floor taken on its own diagonal and T's
+    ``off_value``, or None for any other T.
     """
-    n = T.n
+    n = T.diag.size
     if n % 2 == 0 or not np.array_equal(T.diag, T.diag[::-1]):
         return None
     m = n // 2
     even_off = T.offdiag[m:].copy()
     even_off[0] *= math.sqrt(2.0)
-    # the blocks keep T's off_value, so norm1 (the residual floor's scale) is T's
-    even = replace(T, diag=T.diag[m:], offdiag=even_off)
-    odd = replace(T, diag=T.diag[m + 1:], offdiag=T.offdiag[m + 1:])
-    return (even, 1), (odd, -1)
+    even, odd = T.diag[m:], T.diag[m + 1:]
+    return ((_Block(even, even_off, _floor(even, T.off_value)), 1),
+            (_Block(odd, T.offdiag[m + 1:], _floor(odd, T.off_value)), -1))
 
 
 def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
@@ -367,8 +370,9 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     gershgorin = float(np.min(op.diag)) - 2.0 * abs(op.off_value)
     # the margin covers rounding in the bound; dstebz clips the search
     # interval to its own Gershgorin bound, so it costs no extra steps
-    vl = gershgorin - 1.0 - 8.0 * _EPS * op.norm1()
-    parts = _parity_blocks(op) or ((op, 0),)
+    floor = _floor(op.diag, op.off_value)
+    vl = gershgorin - 1.0 - floor
+    parts = _parity_blocks(op) or ((_Block(op.diag, op.offdiag, floor), 0),)
     # a tolerance as wide as the window stops dstebz at the Sturm counts
     starts = [eigvalsh_tridiagonal(B.diag, B.offdiag, select="v",
                                    select_range=(vl, E), check_finite=False,
@@ -378,7 +382,6 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     n_levels = sum(s.size for s in starts)
     if n_levels > LEVEL_CAP:
         raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
-    floor = 8.0 * _EPS * op.norm1()
     # the level lies within t/2 of its bracket midpoint; a polish that
     # moves further has found another level
     slack = t + floor
@@ -531,9 +534,10 @@ def eigenvector(T: TridiagonalOperator, lam: float) -> np.ndarray:
     eigenvalue with compensated arithmetic; binary64 storage of u alone
     already costs ~eps * ||T||, so that is the enforceable floor.
     """
-    hi, lo, v = _polish_one(T, lam)
+    block = _Block(T.diag, T.offdiag, _floor(T.diag, T.off_value))
+    hi, lo, v = _polish_one(T, lam, block)
     res = _dd.residual_norm(T.diag, T.off_value, v, hi, lo)
-    floor = max(1e-10, 8.0 * _EPS * T.norm1())
+    floor = max(1e-10, block.floor)
     if res > floor:
         raise ConvergenceError(
             f"inverse iteration residual {res:.3e} above tolerance {floor:.3e}")

@@ -12,13 +12,13 @@ the symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _dd
-from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize,
-                         eigenvalues_below, eigenvector, richardson, _inverse_iteration)
+from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize, eigenvalues_below,
+                         eigenvector, richardson, _floor, _inverse_iteration)
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
@@ -75,8 +75,8 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
     """
     diffs = []
     for sgn in (+1.0, -1.0):
-        Tp = replace(T_base, diag=T_base.diag + (sgn * eps_fd) * bvals)
-        v, _ = _inverse_iteration(Tp, lam_guess)
+        diag = T_base.diag + (sgn * eps_fd) * bvals
+        v, _ = _inverse_iteration(diag, T_base.offdiag, _floor(diag, T_base.off_value), lam_guess)
         corr = _dd.rayleigh_correction(T_base.diag, T_base.off_value, v, lam_guess,
                                        extra_diag=bvals, extra_scale=sgn * eps_fd)
         diffs.append(_dd.two_sum(lam_guess, corr))

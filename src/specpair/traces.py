@@ -97,14 +97,9 @@ def spectral_density(p: PotentialSpec, h: float, f: TestFunction) -> float:
 
 
 @cache
-def _legendre_rules(leggauss):
-    """``weyl_term``'s 128- and 256-point Gauss-Legendre rules, built once per ``leggauss``.
-
-    Returns both rules' nodes in one array, then each rule's weights.
-    Keying the cache on the rule function lets a replaced ``leggauss``
-    build its own rules.
-    """
-    (n_c, w_c), (n_f, w_f) = (leggauss(n) for n in (128, 256))
+def _legendre_rules():
+    """The 128- and 256-point Gauss-Legendre rules: both node sets, then each rule's weights."""
+    (n_c, w_c), (n_f, w_f) = (np.polynomial.legendre.leggauss(n) for n in (128, 256))
     return np.concatenate((n_c, n_f)), w_c, w_f
 
 
@@ -138,7 +133,7 @@ def weyl_term(p: PotentialSpec, f: TestFunction) -> float:
     # bump: energies inside (bot, top) only
     bot, top = f.center - f.half_width, f.center + f.half_width
     x_max = math.sqrt(max(top, 0.0)) + 1e-9
-    nodes, w_c, w_f = _legendre_rules(np.polynomial.legendre.leggauss)
+    nodes, w_c, w_f = _legendre_rules()
     n_c = w_c.size
 
     def g(x):

@@ -192,7 +192,6 @@ class WeberPropertyReport:
     decay_slope: float
     growth_slope: float
     max_residual: float
-    boundary_case: bool
 
 
 def _ode_residual(w: WeberSolution) -> float:
@@ -288,7 +287,7 @@ def check_properties(w: WeberSolution) -> WeberPropertyReport:
         ok=not failures, failures=failures, positive_on_left=pos,
         unique_critical_point=unique_crit, falls_at_right=falls,
         decay_slope=float(decay_slope), growth_slope=float(growth_slope),
-        max_residual=resid, boundary_case=w.boundary_case)
+        max_residual=resid)
 
 
 @dataclass

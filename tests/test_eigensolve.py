@@ -21,6 +21,11 @@ from specpair.eigensolve import (
 EPS = np.finfo(float).eps
 
 
+def _norm1(T):
+    """The bound max|diag| + 2|off| on ||T||_1."""
+    return float(np.max(np.abs(T.diag))) + 2.0 * abs(T.off_value)
+
+
 def test_grid_nodes_exactly_symmetric():
     g = Grid(8.0, 4095)
     x = g.nodes()
@@ -148,7 +153,7 @@ def test_polish_outside_bracket_is_an_error(monkeypatch):
     inverse_iteration = eigensolve._inverse_iteration
     # every level polished with the vector of the level above
     monkeypatch.setattr(eigensolve, "_inverse_iteration",
-                        lambda T, lam: inverse_iteration(T, lam + 2.0))
+                        lambda d, e, floor, lam: inverse_iteration(d, e, floor, lam + 2.0))
     with pytest.raises(ConvergenceError, match="bracket"):
         eigenvalues_below(T, 6.0)
 
@@ -159,7 +164,7 @@ def test_polish_outside_bracket_is_an_error_in_a_parity_block(monkeypatch):
     inverse_iteration = eigensolve._inverse_iteration
     # a block holds every other level, so the next one of its parity is 4h up
     monkeypatch.setattr(eigensolve, "_inverse_iteration",
-                        lambda T, lam: inverse_iteration(T, lam + 4.0))
+                        lambda d, e, floor, lam: inverse_iteration(d, e, floor, lam + 4.0))
     with pytest.raises(ConvergenceError, match="bracket"):
         eigenvalues_below(T, 6.0)
 
@@ -169,7 +174,8 @@ def test_inverse_iteration_midway_does_not_converge():
     lam = eigenvalues_below(T, 4.0).eigenvalues
     # equidistant from two levels the iterates alternate between them
     with pytest.raises(ConvergenceError, match="residual bound"):
-        eigensolve._inverse_iteration(T, 0.5 * (lam[0] + lam[1]))
+        eigensolve._inverse_iteration(T.diag, T.offdiag, eigensolve._floor(T.diag, T.off_value),
+                                      0.5 * (lam[0] + lam[1]))
 
 
 def test_polish_factors_once_per_level(monkeypatch):
@@ -195,6 +201,28 @@ def test_polish_factors_once_per_level(monkeypatch):
     assert calls["dgttrs"] <= 4 * len(spec)
 
 
+@pytest.mark.parametrize("p, rows", [(harmonic(), [1023, 512, 511]), (PotentialSpec(), [1023])],
+                         ids=["mirror", "asymmetric"])
+def test_the_floor_is_computed_once_per_block(monkeypatch, p, rows):
+    # the operator's floor serves the window, its slack and every estimate;
+    # each parity block of a mirror-symmetric one takes its own, once
+    floor = eigensolve._floor
+    calls = []
+
+    def counted(diag, off):
+        calls.append(diag.size)
+        return floor(diag, off)
+
+    monkeypatch.setattr(eigensolve, "_floor", counted)
+    T = discretize(p, 0.5, Grid(8.0, 1023))
+    levels = []
+    for E in (2.0, 8.0):
+        calls.clear()
+        levels.append(len(eigenvalues_below(T, E)))
+        assert calls == rows
+    assert levels[0] < levels[1]
+
+
 @pytest.mark.parametrize("h, n, E", [(1.0, 511, 20.0), (0.5, 1023, 10.0),
                                      (0.3, 2047, 9.0), (0.25, 4095, 10.0),
                                      (0.1, 16383, 10.0)])
@@ -218,7 +246,7 @@ def test_parity_blocks_need_odd_n_and_palindromic_diagonal():
         discretize(PotentialSpec(t=0.0, eps=0.05), 1.0, Grid(8.0, 511))) is None
     T = discretize(harmonic(), 1.0, Grid(8.0, 511))
     (even, even_parity), (odd, odd_parity) = eigensolve._parity_blocks(T)
-    assert (even.n, odd.n) == (256, 255)
+    assert (even.diag.size, odd.diag.size) == (256, 255)
     assert (even_parity, odd_parity) == (1, -1)
 
 
@@ -232,7 +260,7 @@ def test_half_grid_correction_matches_the_unfolded_vector(h, n, E):
     m = n // 2
     for B, parity in eigensolve._parity_blocks(T):
         for mid in lam[(parity < 0)::2]:
-            z, shift = eigensolve._inverse_iteration(B, mid + 1e-6)
+            z, shift = eigensolve._inverse_iteration(*B, mid + 1e-6)
             u = np.zeros(n)
             u[m + 1:] = z[parity > 0:]
             u[:m] = parity * u[:m:-1]
@@ -240,7 +268,7 @@ def test_half_grid_correction_matches_the_unfolded_vector(h, n, E):
                 u[m] = z[0] * math.sqrt(2.0)
             full = _dd.rayleigh_correction(T.diag, T.off_value, u, shift)
             half = eigensolve._rayleigh_correction(T, z, shift, parity)
-            assert abs(half - full) <= EPS * abs(full) + 4 * EPS ** 2 * T.norm1()
+            assert abs(half - full) <= EPS * abs(full) + 4 * EPS ** 2 * _norm1(T)
 
 
 def test_bracket_width_depends_on_the_effective_top():
@@ -289,7 +317,7 @@ def test_unrefined_error_estimate_is_the_residual_floor(h, E):
     T = discretize(harmonic(), h, Grid(8.0, 4095))
     spec = eigenvalues_below(T, E)
     lam = spec.eigenvalues + spec.eigenvalues_lo
-    bound = 8 * EPS * T.norm1() + 8 * EPS * np.maximum(1.0, np.abs(lam))
+    bound = 8 * EPS * _norm1(T) + 8 * EPS * np.maximum(1.0, np.abs(lam))
     assert np.all(spec.error_estimate <= bound)
     # far below half the bracket width, which used to be reported
     assert np.all(spec.error_estimate < 1e-3 * eigensolve.BRACKET_REL * max(1.0, E))
@@ -483,7 +511,7 @@ def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
     # for the 100 levels of both grids at h = 0.16
     assert len(solves) <= 4 * (n_f + n_c)
     # no coarse operator or block has as many rows as a fine one
-    fine_rows = {B.n for B, _ in eigensolve._parity_blocks(Tf) or ((Tf, 0),)}
+    fine_rows = {B.diag.size for B, _ in eigensolve._parity_blocks(Tf) or ((Tf, 0),)}
     fine = [(tol, width) for n, tol, width in stebz if n in fine_rows]
     assert len(fine) == len(fine_rows)
     assert all(tol >= width for tol, width in fine)

@@ -1,9 +1,10 @@
 """A ratchet on one owner per rule: ``potential`` alone spells the bump's
-profile, and ``eigensolve.richardson`` alone writes the Richardson combine.
+profile, ``eigensolve.richardson`` alone writes the Richardson combine, and
+``eigensolve._floor`` alone writes the residual floor 8 eps ||T||_1.
 
-The checks read the package sources, so a second copy of the profile or of
-the combine, a reach into ``potential``'s private names or a hard-coded
-support list fails here before it can drift from the one owner.
+The checks read the package sources, so a second copy of the profile, of
+the combine or of the floor, a reach into ``potential``'s private names or
+a hard-coded support list fails here before it can drift from the one owner.
 """
 
 import ast
@@ -54,6 +55,37 @@ def test_the_richardson_combine_is_written_only_in_richardson():
         written += [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in _thirds(tree)
                     if id(node) not in allowed]
     assert written == []
+
+
+def _floors(tree) -> list:
+    """Every product of ``_EPS`` with a matrix norm (``norm1``, or ``np.max`` of the diagonal)."""
+    def has(t, pred):
+        return any(pred(node) for node in ast.walk(t))
+
+    def eps(node):
+        return isinstance(node, ast.Name) and node.id == "_EPS"
+
+    def norm(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("norm1", "max")
+
+    return [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and (has(node.left, eps) and has(node.right, norm)
+                 or has(node.left, norm) and has(node.right, eps))]
+
+
+def test_the_residual_floor_is_written_only_in_floor():
+    written, owned = [], []
+    for name, text in _modules().items():
+        tree = ast.parse(text)
+        owner = [node for node in tree.body if name == "eigensolve"
+                 and isinstance(node, ast.FunctionDef) and node.name == "_floor"]
+        allowed = {id(node) for fn in owner for node in _floors(fn)}
+        owned += allowed
+        written += [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in _floors(tree)
+                    if id(node) not in allowed]
+    assert written == []
+    assert len(owned) == 1
 
 
 def _number(node) -> float | None:

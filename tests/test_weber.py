@@ -88,7 +88,7 @@ def test_boundary_case_harmonic():
     w = solve_weber(1.0, u1)
     rep = check_properties(w)
     assert rep.ok, rep.failures
-    assert rep.boundary_case
+    assert w.boundary_case
     assert w.a == 0.0
     assert w.z0 is None
     assert w.c == pytest.approx(1.0, abs=1e-9)
