@@ -13,7 +13,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +121,7 @@ class Assertion:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "margin": self.margin, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -231,8 +230,7 @@ def _exp_spectrum(cfg: ExperimentConfig, rep: Report):
     rep.check("eigensolve.ordering", bool(np.all(gaps > 0)),
               float(np.min(gaps, initial=np.inf)),
               "eigenvalues strictly increasing")
-    p = cfg.potential
-    if p.t > 0.0 or p.eps > 0.0:
+    if cfg.potential.bump_height > 0.0:
         margin = float(lam[0] - cfg.h - 10.0 * spec.error_estimate[0])
         rep.check("eigensolve.ground_above_h", margin > 0.0, margin,
                   "lambda_1 > h + 10*error for a bump-perturbed well")
@@ -285,7 +283,7 @@ def _exp_gap_sweep(cfg: ExperimentConfig, rep: Report):
          "n_levels": e.n_levels, "usable": int(e.usable)} for e in curve.entries]
     rep.scripts["plot_gap_decay.py"] = _GAP_PLOT
     usable = curve.usable_entries()
-    if not usable and plus.t == 0.0:
+    if not usable and cfg.base().bump_height == 0.0:
         rep.check("traces.below_floor", True, curve.noise_floor,
                   "all gaps below noise floor (exact mirror pair)")
         return
@@ -395,7 +393,7 @@ def _exp_weber(cfg: ExperimentConfig, rep: Report):
     }]
     rep.check("weber.properties", props.ok, -float(len(props.failures)),
               "; ".join(props.failures) or "all shape properties hold")
-    if base.t > 0.0:
+    if base.bump_height > 0.0:
         rep.check("weber.c_above_one", w.c > 1.0 + 1e-7, w.c - (1.0 + 1e-7),
                   "matching constant exceeds 1")
     rep.check("weber.identities", ident.ok,

@@ -18,7 +18,8 @@ estimate is the residual floor that inverse iteration certified, not the
 bracket.  A plain Sturm count (``count_below``) is kept as an independent
 cross-check of the extraction.
 
-Richardson refinement (``refine``) does not bisect its fine grid.  The
+Richardson refinement (``refine``, and ``traces.isospectral_distance``
+for both members of a pair) does not bisect its fine grid.  The
 coarse grid's polished levels lie within the O(dx^2) discretization error
 of their fine-grid partners, far inside the spacing of levels of one
 parity, so each fine level is polished straight from its coarse partner
@@ -480,6 +481,14 @@ def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
                     error_estimate=est, grid=fine.grid)
 
 
+def _fine_levels(op: TridiagonalOperator, E: float, coarse: Spectrum) -> Spectrum:
+    """``op``'s levels polished from ``coarse``, its window on ``grid.coarse()``, else bisected."""
+    try:
+        return _levels(op, E, seeds=coarse.eigenvalues + coarse.eigenvalues_lo)
+    except ConvergenceError:
+        return _levels(op, E)
+
+
 def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
                  grid: Grid) -> list[Spectrum]:
     """Richardson-refined spectra for several (potential, h, E) requests on ``grid``.
@@ -502,14 +511,8 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
     ops_c = [discretize(p, h, grid_c) for (p, h, _) in entries]
     Es = [float(E) for (_, _, E) in entries]
     spec_c = eigenvalues_below_multi(ops_c, Es)
-    results = []
-    for op, E, coarse in zip(ops_f, Es, spec_c):
-        try:
-            fine = _levels(op, E, seeds=coarse.eigenvalues + coarse.eigenvalues_lo)
-        except ConvergenceError:
-            fine = _levels(op, E)
-        results.append(_richardson_combine(fine, coarse))
-    return results
+    return [_richardson_combine(_fine_levels(op, E, coarse), coarse)
+            for op, E, coarse in zip(ops_f, Es, spec_c)]
 
 
 def refine(p: PotentialSpec, h: float, E: float, grid: Grid) -> Spectrum:

@@ -40,7 +40,7 @@ class Level:
 
 
 def _window_for_level(p: PotentialSpec, h: float, j: int) -> float:
-    return (2.0 * j + 1.0) * h + 0.5 + p.t + p.eps
+    return (2.0 * j + 1.0) * h + 0.5 + p.bump_height
 
 
 def solve_level(p: PotentialSpec, h: float, j: int, grid: Grid) -> Level:

@@ -12,7 +12,7 @@ extremely hard to tell apart spectrally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -151,19 +151,22 @@ class PotentialSpec:
         _check_nonnegative(self.t, "t")
         _check_nonnegative(self.eps, "eps")
 
+    @property
+    def bump_height(self) -> float:
+        """t * alpha.amplitude + eps * beta.amplitude: how far the bumps can lift V.
+
+        The mollifier peaks at 1, so this bounds V - x^2, and it is 0 exactly
+        when V = x^2.  It is the one answer to "is this the bare oscillator?",
+        whether a bump is off by its strength or by its amplitude.
+        """
+        return self.t * self.alpha.amplitude + self.eps * self.beta.amplitude
+
     def reflected(self) -> "PotentialSpec":
         """The mirror partner (beta reflection toggled, everything else shared)."""
-        return PotentialSpec(t=self.t, eps=self.eps, reflect_beta=not self.reflect_beta,
-                             alpha=self.alpha, beta=self.beta)
+        return replace(self, reflect_beta=not self.reflect_beta)
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eps": self.eps,
-            "reflect_beta": self.reflect_beta,
-            "alpha": self.alpha.to_dict(),
-            "beta": self.beta.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":

@@ -227,7 +227,7 @@ def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,
     # V >= x^2 puts lambda_j above (2j-1) h > lo, so g(lo) < 0 needs no check
     base = (2.0 * j - 1.0) * h
     lo = max(base - 1.2 * h, 1e-12)
-    hi = base + 1.2 * h + (p.t + p.eps) * 1.0 + 0.1
+    hi = base + 1.2 * h + p.bump_height + 0.1
     for _ in range(12):
         g_hi = g(hi)
         if g_hi > 0.0:

@@ -16,7 +16,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .eigensolve import Grid, discretize, eigenvalues_below_multi, refine_multi, richardson
+from .eigensolve import (Grid, discretize, eigenvalues_below_multi, refine_multi, richardson,
+                         _fine_levels)
 from .errors import PreconditionError, WindowCapError, check_real
 from .potential import BumpSpec, PotentialSpec, bump_eval, potential_eval
 
@@ -216,14 +217,16 @@ def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
 
     D is the largest |Richardson-refined gap| over the paired levels, and
     its error estimate is ``richardson``'s estimate of that gap plus rounding.
+    Both members are solved on the coarse grid first, and each fine grid is
+    polished from its member's coarse levels, as ``refine_multi`` does.
     Index pairing is positional (both spectra are simple and ordered); a
     count mismatch at the window edge is resolved by the common count.  A
     window with no common level is an error, never a zero distance, and
     so is a grid whose V(L) is below E + 10 (``GridMarginError``).
     """
     pair = (p_plus, p_minus)
-    sf, sc = (eigenvalues_below_multi([discretize(p, h, g) for p in pair], [E, E])
-              for g in (grid, grid.coarse()))
+    sc = eigenvalues_below_multi([discretize(p, h, grid.coarse()) for p in pair], [E, E])
+    sf = [_fine_levels(discretize(p, h, grid), E, c) for p, c in zip(pair, sc)]
     g_f, g_c = (s[0].gaps_to(s[1]) for s in (sf, sc))
     m = min(g_f.size, g_c.size)
     if m == 0:

@@ -169,11 +169,11 @@ def matched_ground_state(base: PotentialSpec) -> tuple[float, DenseSolution, Web
 
     lam1 is shot to 1e-12 on [X_LEFT, X_RIGHT], u1 is its normalized
     eigenfunction and W the Weber solution matched to u1 at x = -3.  The
-    bare oscillator (t = eps = 0) takes its closed-form lam1 = 1 instead:
+    bare oscillator (``bump_height`` 0) takes its closed-form lam1 = 1 instead:
     the truncation to [X_LEFT, X_RIGHT] moves it by about e^-64, while a
     shot lands about 5e-13 off and misses the boundary case lam1 == 1.
     """
-    if base.t == base.eps == 0.0:
+    if base.bump_height == 0.0:
         lam1 = 1.0
     else:
         lam1 = pruefer.shoot_eigenvalue(base, 1.0, 1, X_RIGHT, lam_tol=1e-12,

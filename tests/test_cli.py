@@ -117,18 +117,46 @@ def test_gap_sweep_mirror_pair_reports_floor(tmp_path):
     assert (tmp_path / "plot_gap_decay.py").exists()
 
 
-@pytest.mark.parametrize("t", [0.0, 0.05])
-def test_gap_sweep_below_the_floor_passes_only_for_an_exact_mirror(tmp_path, t):
-    # every D at h <= 0.25 lies below the noise floor; only t = 0 makes the
-    # pair an exact mirror, so only there does "below the floor" pass
-    rep = cli.run({"potential": {"t": t}, "h_list": [0.2, 0.22, 0.25]}, "gap-sweep",
+@pytest.mark.parametrize("potential", [{"t": 0.0}, {"t": 0.05}, {"alpha": {"amplitude": 0.0}}],
+                         ids=["0.0", "0.05", "alpha_amplitude_0"])
+def test_gap_sweep_below_the_floor_passes_only_for_an_exact_mirror(tmp_path, potential):
+    # every D at h <= 0.25 lies below the noise floor; only an alpha bump that
+    # is off, by t = 0 or by amplitude 0, makes the pair an exact mirror, so
+    # only there does "below the floor" pass
+    rep = cli.run({"potential": potential, "h_list": [0.2, 0.22, 0.25]}, "gap-sweep",
                   out_dir=tmp_path)
     assert [row["usable"] for row in rep.tables["distance"]] == [0, 0, 0]
     checks = [(a.name, a.passed, a.margin) for a in rep.assertions]
-    if t == 0.0:
+    if potential != {"t": 0.05}:
         assert checks == [("traces.below_floor", True, 1e-12)]
     else:
         assert checks == [("traces.fit_available", False, -5.0)]
+
+
+def _bits(rep) -> tuple:
+    """A report's tables and assertions, every float by its bits."""
+    def cell(v):
+        return float(v).hex() if isinstance(v, float) else v
+    tables = {name: [{k: cell(v) for k, v in row.items()} for row in rows]
+              for name, rows in rep.tables.items()}
+    return tables, [(a.name, a.passed, cell(a.margin), a.detail) for a in rep.assertions]
+
+
+_ALPHA_OFF = ({"alpha": {"amplitude": 0.0}}, {"t": 0.0})
+_BOTH_OFF = ({"alpha": {"amplitude": 0.0}, "beta": {"amplitude": 0.0}}, {"t": 0.0, "eps": 0.0})
+
+
+@pytest.mark.parametrize("flat, off, experiment", [
+    *(pytest.param(*_ALPHA_OFF, e, id=f"alpha_off-{e}")
+      for e in ("spectrum", "gap-sweep", "hadamard-check", "weber", "trace", "validate")),
+    *(pytest.param(*_BOTH_OFF, e, id=f"both_off-{e}") for e in ("spectrum", "weber")),
+])
+def test_a_flat_bump_is_the_bump_switched_off(tmp_path, flat, off, experiment):
+    # amplitude 0 and strength 0 give the same V bit for bit, so every
+    # verdict (bare oscillator or not, exact mirror or not) must agree too
+    flat_rep, off_rep = (cli.run({"potential": p}, experiment, out_dir=tmp_path)
+                         for p in (flat, off))
+    assert _bits(flat_rep) == _bits(off_rep)
 
 
 def test_gap_sweep_without_beta_is_a_config_error(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """A ratchet on one owner per rule: ``potential`` alone spells the bump's
-profile, ``eigensolve.richardson`` alone writes the Richardson combine, and
-``eigensolve._floor`` alone writes the residual floor 8 eps ||T||_1.
+profile, ``eigensolve.richardson`` alone writes the Richardson combine,
+``eigensolve._floor`` alone writes the residual floor 8 eps ||T||_1, and
+``PotentialSpec.bump_height`` alone answers how large the bumps are.
 
 The checks read the package sources, so a second copy of the profile, of
-the combine or of the floor, a reach into ``potential``'s private names or
-a hard-coded support list fails here before it can drift from the one owner.
+the combine or of the floor, a reach into ``potential``'s private names, a
+test of a bump strength outside ``potential`` or a hard-coded support list
+fails here before it can drift from the one owner.
 """
 
 import ast
@@ -111,3 +113,43 @@ def test_weyl_term_holds_no_literal_support_list():
             if None not in values and any(isinstance(v, float) or v < 0 for v in values):
                 literals.append(ast.unparse(node))
     assert literals == []
+
+
+def _strength_reads(name: str, tree) -> list[str]:
+    """``module.function`` of every comparison or arithmetic with an operand ``.t`` or ``.eps``.
+
+    The operand must read a named object (``p.t``, ``level.p.eps``), not a
+    call's result such as machine epsilon, ``np.finfo(float).eps``.
+    """
+    reads = []
+
+    def strength(o):
+        return isinstance(o, ast.Attribute) and o.attr in ("t", "eps") \
+            and isinstance(o.value, (ast.Name, ast.Attribute))
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+        else:
+            operands = []
+        if any(strength(o) for o in operands):
+            reads.append(f"{name}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return reads
+
+
+def test_only_potential_reads_the_bump_strengths():
+    # "is this the bare oscillator?" and "how far can the bumps lift V?" are
+    # ``bump_height``'s: t = 0 and amplitude 0 must get one verdict.  The
+    # witness's precondition is about the beta strength itself (eps = 0).
+    allowed = {"hadamard.asymmetry_witness"}
+    reads = {read for name, text in _modules().items() if name != "potential"
+             for read in _strength_reads(name, ast.parse(text))}
+    assert sorted(reads - allowed) == []

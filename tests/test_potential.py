@@ -154,6 +154,21 @@ def test_non_finite_strength_rejected(field, value):
         PotentialSpec(**{field: value})
 
 
+def test_bump_height_bounds_the_lift_and_vanishes_exactly_for_the_bare_oscillator():
+    p = PotentialSpec(t=0.05, eps=0.02, alpha=BumpSpec(-2.5, 0.5, 2.0),
+                      beta=BumpSpec(3.5, 0.5, 3.0))
+    assert p.bump_height == 0.05 * 2.0 + 0.02 * 3.0
+    x = np.linspace(-4.5, 4.5, 9001)
+    for q in (p, p.reflected()):
+        assert np.max(potential_eval(q, x) - x * x) <= q.bump_height
+    assert PotentialSpec().bump_height == 0.1
+    assert harmonic().bump_height == 0.0
+    flat = BumpSpec(-2.5, 0.5, 0.0)
+    for q in (PotentialSpec(eps=0.0, alpha=flat), PotentialSpec(t=0.0, eps=0.0)):
+        assert q.bump_height == 0.0
+        assert np.array_equal(potential_eval(q, x), x * x)
+
+
 def test_json_round_trip():
     p = PotentialSpec(t=0.03, eps=0.08)
     assert validate(p).ok

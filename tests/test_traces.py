@@ -205,6 +205,23 @@ def test_isospectral_distance_decreases_with_h():
     assert d2 < d1
 
 
+def test_isospectral_distance_polishes_each_fine_grid_from_its_coarse_levels(monkeypatch):
+    # one seeded solve per member, as in refine_multi: the fine grid is not bisected
+    seeded = []
+    levels = eigensolve._levels
+
+    def counted(op, E, check_margin=True, seeds=None):
+        if seeds is not None:
+            seeded.append(op.grid)
+        return levels(op, E, check_margin, seeds)
+
+    monkeypatch.setattr(eigensolve, "_levels", counted)
+    plus = PotentialSpec()
+    grid = Grid(8.0, 2047)
+    isospectral_distance(1.0, 10.0, plus, plus.reflected(), grid)
+    assert seeded == [grid, grid]
+
+
 def test_fit_gap_decay_exact_model():
     hs = np.geomspace(0.3, 1.0, 8)
     entries = [(h, 2.0 * math.exp(-3.0 / h)) for h in hs]
