@@ -120,9 +120,6 @@ class Assertion:
     margin: float
     detail: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Report:
@@ -203,7 +200,7 @@ def write_report(report: Report, out_dir: str | Path) -> Path:
         "experiment": report.experiment,
         "config": report.config,
         # JSON has no Infinity or NaN: a margin over no cases (inf) is written as null
-        "assertions": [{**a.to_dict(), "margin": a.margin if math.isfinite(a.margin) else None}
+        "assertions": [{**asdict(a), "margin": a.margin if math.isfinite(a.margin) else None}
                        for a in report.assertions],
         "passed": report.ok,
         "timing_s": report.timing_s,

@@ -42,7 +42,10 @@ off-diagonal, and its residual floor 8 eps ||B||_1, computed once by
 ``_floor``, the floor's one owner.  The polish's compensated Rayleigh
 quotient of the even or odd vector a block vector stands for is taken on
 the stored T's own rows over one half of the grid, so every value is a
-Rayleigh quotient of the stored T either way.
+Rayleigh quotient of the stored T either way.  ``eigenvector`` returns a
+window's levels with the vector that inverse iteration found for the one
+level it names, so no level is factored twice; a block vector expands to
+an exactly even or odd vector on the full grid.
 """
 
 from __future__ import annotations
@@ -251,8 +254,8 @@ def _polish_one(T: TridiagonalOperator, lam: float, block: _Block, parity: int =
     ``lam``, so its rounding stays at eps^2 ||T|| however wide the bracket
     around ``lam`` was.  With ``parity`` 0 the block is T itself.  With a
     parity block of T (``parity`` +1 even, -1 odd; see ``_parity_blocks``)
-    ``vec`` is the block's vector, and the correction is taken on T's own
-    rows over half the grid (``_rayleigh_correction``).
+    ``vec`` is the block's vector (``_full_vector`` expands it), and the
+    correction is taken on T's rows over half the grid (``_rayleigh_correction``).
     """
     v, shift = _inverse_iteration(*block, lam)
     hi, lo = _dd.two_sum(shift, _rayleigh_correction(T, v, shift, parity))
@@ -286,6 +289,15 @@ def _rayleigh_correction(T: TridiagonalOperator, z: np.ndarray, shift: float,
     w = u.copy()
     w[0] *= 0.5
     return (float(np.dot(r_hi[1:], w)) + float(np.dot(r_lo[1:], w))) / float(np.dot(u, w))
+
+
+def _full_vector(z: np.ndarray, parity: int) -> np.ndarray:
+    """The vector of T that ``z`` stands for (see ``_rayleigh_correction``), even or odd bitwise."""
+    if parity > 0:
+        return np.concatenate((z[:0:-1], [math.sqrt(2.0) * z[0]], z[1:]))
+    if parity < 0:
+        return np.concatenate((-z[::-1], [0.0], z))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,7 @@ def _parity_blocks(T: TridiagonalOperator):
 
 
 def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
-            seeds: np.ndarray | None = None) -> Spectrum:
+            seeds: np.ndarray | None = None, keep: int = 0):
     """The polished eigenvalues of one operator in (vl, E]; see ``eigenvalues_below_multi``.
 
     Without ``seeds`` every level is polished from its ``dstebz`` bracket
@@ -361,6 +373,11 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     too far from its level raises ``ConvergenceError``.  This is the one
     owner of the turning-point margin: unless ``check_margin`` is False, an
     operator with V(L) < E + 10 raises ``GridMarginError``.
+
+    Without ``seeds`` and with ``keep`` = j >= 1 it returns (Spectrum, u),
+    u the full-grid vector of level j (None if the window holds fewer),
+    which by the same alternation is block k's level i for
+    j = i * len(parts) + k + 1.
     """
     if check_margin and op.v_boundary < E + 10.0:
         raise GridMarginError(
@@ -386,17 +403,20 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     # the level lies within t/2 of its bracket midpoint; a polish that
     # moves further has found another level
     slack = t + floor
-    lam, lam_lo = [], []
+    lam, lam_lo, kept = [], [], None
+    i_keep, k_keep = divmod(keep - 1, len(parts))
     for k, ((B, parity), block_starts) in enumerate(zip(parts, starts)):
         if seeds is None:
-            for mid in block_starts:
-                hi, lo, _ = _polish_one(op, mid, B, parity)
+            for i, mid in enumerate(block_starts):
+                hi, lo, v = _polish_one(op, mid, B, parity)
                 if abs((hi - mid) + lo) > slack:
                     raise ConvergenceError(
                         f"polish moved a level from its bracket midpoint {mid:.17g} "
                         f"by {(hi - mid) + lo:.3e}, beyond {slack:.3e}")
                 lam.append(hi)
                 lam_lo.append(lo)
+                if (i, k) == (i_keep, k_keep):
+                    kept = _full_vector(v, parity)
         else:
             found, delta = 0, 0.0
             for seed in seeds[k::len(parts)]:
@@ -418,8 +438,9 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     est = floor + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
     if np.any(np.diff(lam + lam_lo) <= est[:-1] + est[1:]):
         raise ConvergenceError("polish found two levels closer than their error estimates")
-    return Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
+    spec = Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
                     error_estimate=est, grid=op.grid)
+    return (spec, kept) if keep else spec
 
 
 def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
@@ -493,18 +514,11 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
                  grid: Grid) -> list[Spectrum]:
     """Richardson-refined spectra for several (potential, h, E) requests on ``grid``.
 
-    The coarse grid, ``grid.coarse()``, is solved first.  Each fine
-    level is then polished from its coarse partner instead of a bisection
-    bracket (``_levels`` with seeds): the two differ by the O(dx^2)
-    discretization error, far less than the spacing of levels of one
-    parity, and inverse iteration converges from any shift nearer its level
-    than any other (the nested iteration of multigrid).  The fine set is
-    certified by a Sturm count of the window and by its levels being
-    distinct.  Should certification or inverse iteration fail, as it can
-    on grids too coarse for the seeds to be close, that operator's fine
-    levels are bisected and polished as in ``eigenvalues_below_multi``.
-    Each solve checks the turning-point margin (V(L) >= E + 10, else
-    ``GridMarginError``); both grids share L, so the coarse solve raises first.
+    The coarse grid, ``grid.coarse()``, is solved first, and each fine grid
+    is polished from its coarse levels, with bisection as the fallback
+    (``_fine_levels``; the module docstring says why).  Each solve checks
+    the turning-point margin (V(L) >= E + 10, else ``GridMarginError``);
+    both grids share L, so the coarse solve raises first.
     """
     grid_c = grid.coarse()
     ops_f = [discretize(p, h, grid) for (p, h, _) in entries]
@@ -528,24 +542,26 @@ def refine(p: PotentialSpec, h: float, E: float, grid: Grid) -> Spectrum:
 # Eigenvectors
 # ---------------------------------------------------------------------------
 
-def eigenvector(T: TridiagonalOperator, lam: float) -> np.ndarray:
-    """Discrete-L2-normalized eigenvector for the eigenvalue nearest ``lam``.
+def eigenvector(T: TridiagonalOperator, E: float, j: int) -> tuple[Spectrum, np.ndarray]:
+    """T's levels in (vl, E] and level j's vector, both from one ``_levels`` solve.
 
-    Normalization is dx * sum(u_i^2) = 1 and the sign makes the largest
-    component positive (so a ground state is positive everywhere).  The
-    eigenpair residual ||T u - lam u|| is measured against the polished
-    eigenvalue with compensated arithmetic; binary64 storage of u alone
-    already costs ~eps * ||T||, so that is the enforceable floor.
+    u is normalized to dx * sum(u_i^2) = 1, its largest component positive
+    (so a ground state is positive everywhere).  Its residual against the
+    polished level j, in compensated arithmetic, certifies that u belongs to
+    level j; binary64 storage of u already costs ~eps * ||T||, whence the floor.
     """
-    block = _Block(T.diag, T.offdiag, _floor(T.diag, T.off_value))
-    hi, lo, v = _polish_one(T, lam, block)
-    res = _dd.residual_norm(T.diag, T.off_value, v, hi, lo)
-    floor = max(1e-10, block.floor)
+    if j < 1:
+        raise PreconditionError(f"level index j must be >= 1, got {j}")
+    spec, u = _levels(T, E, keep=j)
+    if len(spec) < j:
+        raise PreconditionError(f"window E = {E} holds only {len(spec)} levels, need {j}")
+    res = _dd.residual_norm(T.diag, T.off_value, u, spec.eigenvalues[j - 1],
+                            spec.eigenvalues_lo[j - 1]) / _norm(u)
+    floor = max(1e-10, _floor(T.diag, T.off_value))
     if res > floor:
-        raise ConvergenceError(
-            f"inverse iteration residual {res:.3e} above tolerance {floor:.3e}")
-    u = v / np.sqrt(T.grid.dx * np.dot(v, v))
+        raise ConvergenceError(f"level {j} residual {res:.3e} above tolerance {floor:.3e}")
+    u = u / np.sqrt(T.grid.dx * np.dot(u, u))
     i = int(np.argmax(np.abs(u)))
     if u[i] < 0.0:
         u = -u
-    return u
+    return spec, u

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dd
-from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize, eigenvalues_below,
-                         eigenvector, richardson, _floor, _inverse_iteration)
+from .eigensolve import (Grid, Spectrum, TridiagonalOperator, discretize, eigenvector,
+                         richardson, _floor, _inverse_iteration)
 from .errors import PreconditionError
 from .potential import BumpSpec, PotentialSpec, bump_eval
 
@@ -27,33 +27,21 @@ from .potential import BumpSpec, PotentialSpec, bump_eval
 class Level:
     """Level j of potential p, solved once on the grid of ``T``.
 
-    ``spec`` is the polished spectrum of the level's window, ``lam`` its
-    j-th value and ``u`` the normalized eigenvector of ``T`` at ``lam``.
+    ``spec`` is the polished spectrum of the level's window and ``u`` the
+    normalized eigenvector of level j that the same solve found.
     """
 
     p: PotentialSpec
     j: int
     T: TridiagonalOperator
     spec: Spectrum
-    lam: float
     u: np.ndarray
-
-
-def _window_for_level(p: PotentialSpec, h: float, j: int) -> float:
-    return (2.0 * j + 1.0) * h + 0.5 + p.bump_height
 
 
 def solve_level(p: PotentialSpec, h: float, j: int, grid: Grid) -> Level:
     """Level j >= 1 of p at semiclassical parameter h on ``grid``, for the checks below."""
-    if j < 1:
-        raise PreconditionError(f"level index j must be >= 1, got {j}")
     T = discretize(p, h, grid)
-    E = _window_for_level(p, h, j)
-    spec = eigenvalues_below(T, E)
-    if len(spec) < j:
-        raise PreconditionError(f"window E = {E} holds only {len(spec)} levels, need {j}")
-    lam = float(spec.eigenvalues[j - 1])
-    return Level(p=p, j=j, T=T, spec=spec, lam=lam, u=eigenvector(T, lam))
+    return Level(p, j, T, *eigenvector(T, (2.0 * j + 1.0) * h + 0.5 + p.bump_height, j))
 
 
 def variational_derivative(level: Level, beta: BumpSpec) -> float:
@@ -96,7 +84,7 @@ def fd_oracle(level: Level, beta: BumpSpec, eps_fd: float) -> float:
         raise PreconditionError(
             f"eps_fd = {eps_fd} can move level {j} by {shift_bound:.3e}, "
             f"comparable to its spectral gaps")
-    diff = _polished_pair_difference(level.T, bvals, eps_fd, level.lam)
+    diff = _polished_pair_difference(level.T, bvals, eps_fd, float(lams[j - 1]))
     return diff / (2.0 * eps_fd)
 
 

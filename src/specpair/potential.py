@@ -71,9 +71,6 @@ class BumpSpec:
 
         return bump
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "BumpSpec":
         """A bump from its filled config object; ``where`` prefixes the key in errors."""

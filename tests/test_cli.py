@@ -197,7 +197,7 @@ def test_a_partial_bump_takes_its_other_fields_from_the_default(tmp_path, capsys
                                                                   amplitude=0.0))
     assert cfg.raw["potential"]["beta"] == {"center": 3.5, "half_width": 0.5,
                                             "amplitude": 0.0}
-    assert cfg.raw["potential"]["alpha"] == PotentialSpec().alpha.to_dict()
+    assert cfg.raw["potential"]["alpha"] == PotentialSpec().to_dict()["alpha"]
     # ... and gap-sweep refuses it as a flat beta bump, naming the key
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(partial))

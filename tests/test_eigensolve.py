@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from specpair import _dd, eigensolve
 from specpair.cli import charpoly_roots
@@ -333,8 +334,7 @@ def test_refine_harmonic_accuracy():
 def test_eigenvector_ground_state_gaussian():
     g = Grid(8.0, 4095)
     T = discretize(harmonic(), 1.0, g)
-    lam1 = float(eigenvalues_below(T, 2.0).eigenvalues[0])
-    u = eigenvector(T, lam1)
+    _, u = eigenvector(T, 2.0, 1)
     # u(0)^2 = 1/sqrt(pi) for the normalized Gaussian ground state
     i0 = 2047
     assert g.nodes()[i0] == 0.0
@@ -346,8 +346,7 @@ def test_eigenvector_ground_state_gaussian():
 def test_eigenvector_first_excited_odd():
     g = Grid(8.0, 4095)
     T = discretize(harmonic(), 1.0, g)
-    spec = eigenvalues_below(T, 4.0)
-    u = eigenvector(T, float(spec.eigenvalues[1]))
+    _, u = eigenvector(T, 4.0, 2)
     assert abs(u[2047]) <= 1e-8
 
 
@@ -355,9 +354,35 @@ def test_eigenvector_perturbed_ground_positive():
     g = Grid(8.0, 4095)
     p = PotentialSpec()
     T = discretize(p, 1.0, g)
-    lam1 = float(eigenvalues_below(T, 2.0).eigenvalues[0])
-    u = eigenvector(T, lam1)
+    _, u = eigenvector(T, 2.0, 1)
     assert np.all(u > 0.0)
+
+
+@pytest.mark.parametrize("p", [harmonic(), PotentialSpec()], ids=["parity", "full"])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_eigenvector_matches_lapack(p, j):
+    # the vector the polish kept for level j is LAPACK's, up to sign
+    g = Grid(8.0, 4095)
+    T = discretize(p, 1.0, g)
+    _, u = eigenvector(T, 9.5, j)
+    _, v = eigh_tridiagonal(T.diag, T.offdiag, select="i", select_range=(j - 1, j - 1))
+    v = v[:, 0] / np.sqrt(g.dx * np.dot(v[:, 0], v[:, 0]))
+    assert min(np.max(np.abs(u - v)), np.max(np.abs(u + v))) <= 1e-10
+    if p == harmonic():
+        assert np.array_equal(u, (-1) ** (j - 1) * u[::-1])
+
+
+@pytest.mark.parametrize("p", [harmonic(), PotentialSpec()], ids=["parity", "full"])
+def test_eigenvector_keeps_one_vector(monkeypatch, p):
+    # five levels are polished, and only level 3's vector is expanded and kept
+    T = discretize(p, 1.0, Grid(8.0, 4095))
+    expanded = []
+    full_vector = eigensolve._full_vector
+    monkeypatch.setattr(eigensolve, "_full_vector",
+                        lambda z, parity: expanded.append(parity) or full_vector(z, parity))
+    spec, _ = eigenvector(T, 9.5, 3)
+    assert len(spec) == 5
+    assert len(expanded) == 1
 
 
 def test_reflection_isospectrality_t_zero():

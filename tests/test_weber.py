@@ -7,7 +7,7 @@ import scipy.optimize
 from specpair import cli, weber
 from specpair.errors import ConvergenceError, PreconditionError
 from specpair.potential import PotentialSpec, harmonic
-from specpair.eigensolve import Grid, discretize, eigenvalues_below, eigenvector
+from specpair.eigensolve import Grid, discretize, eigenvector
 from specpair.weber import (
     c_identities,
     check_properties,
@@ -126,8 +126,7 @@ def test_grid_eigenvector_consistency(bundle):
     lam1, _, w = bundle
     g = Grid(8.0, 8191)
     T = discretize(BASE, 1.0, g)
-    lam_g = float(eigenvalues_below(T, 2.0).eigenvalues[0])
-    u = eigenvector(T, lam_g)
+    _, u = eigenvector(T, 2.0, 1)
     x = g.nodes()
     sel = (x >= -7.5) & (x <= -3.0)
     diff = np.abs(u[sel] - w.dense(x[sel]))
