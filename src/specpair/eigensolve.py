@@ -1,42 +1,48 @@
 """Dirichlet eigensolver for -h^2 u'' + V u on a symmetric truncated grid.
 
 The operator is discretized with the standard 3-point stencil into a
-symmetric tridiagonal matrix.  LAPACK ``dstebz`` (Kahan's Sturm-sequence
-bisection) brackets every eigenvalue in the window, and each one is then
-polished by inverse iteration plus a compensated Rayleigh quotient.  The
-polish matters: bisection alone cannot locate an eigenvalue more tightly
-than a few ulps of ||T||, and the matrix norm grows like 2 h^2/dx^2, which
-would drown the tiny spectral differences this package exists to measure.
-The brackets are therefore only as tight as the polish needs: inverse
-iteration converges from any shift nearer its level than any other, at the
-rate |lam - sigma|/gap, so bisecting further buys nothing (LAPACK's
-``dstevx`` pairs ``dstebz`` with ``dstein`` on the same principle; Parlett,
-*The Symmetric Eigenvalue Problem*, ch. 4).  The Rayleigh correction is
-taken about inverse iteration's own eigenvalue estimate, so a wide bracket
-costs the polished value no precision, and an unrefined level's error
-estimate is the residual floor that inverse iteration certified, not the
-bracket.  A plain Sturm count (``count_below``) is kept as an independent
-cross-check of the extraction.
+symmetric tridiagonal matrix.  Each eigenvalue in the window is polished
+by inverse iteration plus a compensated Rayleigh quotient.  The polish
+matters: bisection alone cannot locate an eigenvalue more tightly than a
+few ulps of ||T||, and the matrix norm grows like 2 h^2/dx^2, which would
+drown the tiny spectral differences this package exists to measure.
+Inverse iteration converges from any shift nearer its level than any
+other, at the rate |lam - sigma|/gap, so a start need be no closer than
+that (LAPACK's ``dstevx`` pairs ``dstebz`` with ``dstein`` on the same
+principle; Parlett, *The Symmetric Eigenvalue Problem*, ch. 4).  The
+Rayleigh correction is taken about inverse iteration's own eigenvalue
+estimate, so a rough start costs the polished value no precision, and a
+level's error estimate is the residual floor that inverse iteration
+certified, not the distance from its start.  A plain Sturm count
+(``count_below``) is kept as an independent cross-check of the extraction.
 
+The starts come from a coarser problem, as in the nested iteration of
+multigrid (Brandt, *Math. Comp.* 31, 1977).  Every operator here is
+x^2 + W with 0 <= W <= ``PotentialSpec.bump_height``, so by min-max its
+j-th level sits within the bump height, plus the stencil's error, of the
+oscillator's (2j - 1) h: the oscillator is the coarsest "grid".
 Richardson refinement (``refine``, and ``traces.isospectral_distance``
-for both members of a pair) does not bisect its fine grid.  The
-coarse grid's polished levels lie within the O(dx^2) discretization error
-of their fine-grid partners, far inside the spacing of levels of one
-parity, so each fine level is polished straight from its coarse partner
-(the nested iteration of multigrid; Brandt, *Math. Comp.* 31, 1977).
-That gap, the stencil's error (for the oscillator ~ lam^2 dx^2/h^2), is
-smooth in the level index, so each seed is the coarse level plus the
+for both members of a pair) solves its coarse grid from those levels and
+polishes its fine grid from the coarse grid's levels, which lie within
+the O(dx^2) discretization error of their fine-grid partners.  Either
+shift is smooth in the level index (the stencil's error is ~ lam^2
+dx^2/h^2 for the oscillator), so each seed is the coarser level plus the
 second-order backward-difference extrapolation of the moves of the
 block's previous levels.  At n = 16383, once three moves are known, a
-seed lands within ~1e-10 of its level, against ~1e-4 for the coarse level
-plus the previous move alone, and inverse iteration certifies it in about
-two solves instead of four.  The fine set is certified instead of
-bracketed: a ``dstebz`` call as wide as the window returns only the Sturm
-count of (vl, E], the polish must find exactly that many levels, and
-consecutive levels must differ by more than their error estimates.  A
-grid pair too coarse for that, where a seed sits so far from its level
-that inverse iteration runs out of steps or a level is found twice,
-falls back to bisecting the fine grid.
+fine seed lands within ~1e-10 of its level, against ~1e-4 for the coarse
+level plus the previous move alone, and inverse iteration certifies it
+in about two solves instead of four; a coarse level takes about two
+solves from its oscillator seed.  A seeded window is certified instead
+of bracketed: a ``dstebz`` call as wide as the window returns only the
+Sturm count of (vl, E], the polish must find exactly that many levels,
+and consecutive levels must differ by more than their error estimates.
+A window that fails the certificate, where a seed sits so far from its
+level that inverse iteration runs out of steps or a level is found
+twice, falls back to bisection (``_polished_levels`` owns that rule):
+``dstebz`` (Kahan's Sturm-sequence bisection) brackets every level,
+only as tightly as the polish needs, and each is polished from its
+bracket midpoint.  The window whose vector ``eigenvector`` hands out is
+bisected too.
 
 Grids are built exactly symmetric about 0 (nodes are signed multiples of
 dx), so reflecting a potential reverses the diagonal bitwise and exact
@@ -388,19 +394,22 @@ def _next_move(moves: list[float]) -> float:
 
 
 def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
-            seeds: np.ndarray | None = None, keep: int = 0):
+            seeds: np.ndarray | str | None = None, keep: int = 0):
     """The polished eigenvalues of one operator in (vl, E]; see ``eigenvalues_below_multi``.
 
     Without ``seeds`` every level is polished from its ``dstebz`` bracket
-    midpoint.  ``seeds`` approximate the levels in increasing order, e.g.
-    a coarser grid's spectrum.  A mirror-symmetric operator's even block
-    takes seeds 0, 2, 4, ... and its odd block 1, 3, 5, ... (levels
-    alternate parity).  Each block polishes seed + the move ``_next_move``
-    extrapolates from how far its previous levels moved from their seeds
-    (a discretization error, smooth in the level index), drops levels
-    above E, and must find exactly as many as the Sturm count of the
-    window, which one ``dstebz`` call of tolerance E - vl returns without
-    bisecting.  A seed too far from its level raises ``ConvergenceError``.
+    midpoint.  ``seeds`` approximate the levels in increasing order: a
+    coarser grid's spectrum, or "oscillator" for the oscillator's levels
+    (2j - 1) h, j = 1..N, N the window's Sturm count.  A mirror-symmetric
+    operator's even block takes seeds 0, 2, 4, ... and its odd block
+    1, 3, 5, ... (levels alternate parity), so each block takes exactly as
+    many oscillator seeds as it holds levels.  Each block polishes seed +
+    the move ``_next_move`` extrapolates from how far its previous levels
+    moved from their seeds (a perturbation or discretization error, smooth
+    in the level index), drops levels above E, and must find exactly as
+    many as the Sturm count of the window, which one ``dstebz`` call of
+    tolerance E - vl returns without bisecting.  A seed too far from its
+    level raises ``ConvergenceError``; ``_polished_levels`` then bisects.
     Only the level whose vector is handed out (``keep``) takes inverse
     iteration's confirming solve.  This is the one owner of the
     turning-point margin: unless ``check_margin`` is False, an operator
@@ -432,6 +441,8 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     n_levels = sum(s.size for s in starts)
     if n_levels > LEVEL_CAP:
         raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
+    if isinstance(seeds, str):
+        seeds = (2.0 * np.arange(1, n_levels + 1) - 1.0) * op.h
     # the level lies within t/2 of its bracket midpoint; a polish that
     # moves further has found another level
     slack = t + floor
@@ -476,23 +487,43 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     return (spec, kept) if keep else spec
 
 
+def _polished_levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
+                     coarse: Spectrum | None = None) -> Spectrum:
+    """``op``'s levels in (vl, E], polished from seeds, else bisected: the one owner of the fallback.
+
+    The seeds are ``coarse``'s levels, ``op``'s window on ``grid.coarse()``,
+    or without ``coarse`` the oscillator's levels (2j - 1) h (``_levels``).
+    A seeded window that ``_levels`` cannot certify (``ConvergenceError``)
+    is bisected and polished from its bracket midpoints instead.
+    """
+    seeds = "oscillator" if coarse is None else coarse.eigenvalues + coarse.eigenvalues_lo
+    try:
+        return _levels(op, E, check_margin, seeds)
+    except ConvergenceError:
+        return _levels(op, E, check_margin)
+
+
 def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
                             check_margin: bool = True) -> list[Spectrum]:
     """The polished eigenvalues of each operator in its window (vl, E].
 
     vl lies below the operator's Gershgorin bound, so the window holds every
-    eigenvalue up to E.  LAPACK ``dstebz`` brackets each one to width
-    t = BRACKET_REL * max(1, min(E, top)), where top = max(diag) + 2|off| is
-    the Gershgorin upper bound; that is enough for the polish to start
-    nearer its level than any other (t is far below the level spacing for
-    up to ``LEVEL_CAP`` levels), and the midpoint is then polished.  Capping
-    E at top keeps a window above the whole spectrum from widening the
-    brackets past the spacing.  The error estimate of each level is the
-    residual floor 8 eps ||T||_1 that inverse iteration certified plus the
-    rounding of the value, not the bracket width; consecutive levels must
-    differ by more than the sum of their estimates.  A mirror-symmetric
-    operator is bracketed, inverse-iterated and polished as its even and
-    odd half-size blocks (``_parity_blocks``); the Rayleigh quotient is
+    eigenvalue up to E.  Each level is polished from the oscillator's level
+    (2j - 1) h plus the shift its block's previous levels extrapolate, and
+    the window is certified by its Sturm count (``_levels``).  A window that
+    fails the certificate is bisected instead (``_polished_levels``): LAPACK
+    ``dstebz`` brackets each level to width t = BRACKET_REL * max(1, min(E,
+    top)), where top = max(diag) + 2|off| is the Gershgorin upper bound;
+    that is enough for the polish to start nearer its level than any other
+    (t is far below the level spacing for up to ``LEVEL_CAP`` levels), and
+    the midpoint is then polished.  Capping E at top keeps a window above
+    the whole spectrum from widening the brackets past the spacing.  The
+    error estimate of each level is the residual floor 8 eps ||T||_1 that
+    inverse iteration certified plus the rounding of the value, not the
+    distance from its start; consecutive levels must differ by more than
+    the sum of their estimates.  A mirror-symmetric operator is counted,
+    inverse-iterated and polished as its even and odd half-size blocks
+    (``_parity_blocks``); the Rayleigh quotient is
     taken on the stored T's rows over half the grid
     (``_rayleigh_correction``).  More than ``LEVEL_CAP``
     levels in a window raise ``WindowCapError``.  ``check_margin=False``
@@ -502,7 +533,7 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
     Es = [float(e) for e in E_list]
     if len(Es) != len(ops):
         raise PreconditionError("need one window per operator")
-    return [_levels(op, E, check_margin) for op, E in zip(ops, Es)]
+    return [_polished_levels(op, E, check_margin) for op, E in zip(ops, Es)]
 
 
 def eigenvalues_below(T: TridiagonalOperator, E: float,
@@ -535,21 +566,14 @@ def _richardson_combine(fine: Spectrum, coarse: Spectrum) -> Spectrum:
                     error_estimate=est, grid=fine.grid)
 
 
-def _fine_levels(op: TridiagonalOperator, E: float, coarse: Spectrum) -> Spectrum:
-    """``op``'s levels polished from ``coarse``, its window on ``grid.coarse()``, else bisected."""
-    try:
-        return _levels(op, E, seeds=coarse.eigenvalues + coarse.eigenvalues_lo)
-    except ConvergenceError:
-        return _levels(op, E)
-
-
 def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
                  grid: Grid) -> list[Spectrum]:
     """Richardson-refined spectra for several (potential, h, E) requests on ``grid``.
 
-    The coarse grid, ``grid.coarse()``, is solved first, and each fine grid
-    is polished from its coarse levels, with bisection as the fallback
-    (``_fine_levels``; the module docstring says why).  Each solve checks
+    The coarse grid, ``grid.coarse()``, is solved first, from the
+    oscillator's levels (``eigenvalues_below_multi``), and each fine grid is
+    polished from its coarse levels; either window falls back to bisection
+    (``_polished_levels``; the module docstring says why).  Each solve checks
     the turning-point margin (V(L) >= E + 10, else ``GridMarginError``);
     both grids share L, so the coarse solve raises first.
     """
@@ -558,15 +582,15 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
     ops_c = [discretize(p, h, grid_c) for (p, h, _) in entries]
     Es = [float(E) for (_, _, E) in entries]
     spec_c = eigenvalues_below_multi(ops_c, Es)
-    return [_richardson_combine(_fine_levels(op, E, coarse), coarse)
+    return [_richardson_combine(_polished_levels(op, E, coarse=coarse), coarse)
             for op, E, coarse in zip(ops_f, Es, spec_c)]
 
 
 def refine(p: PotentialSpec, h: float, E: float, grid: Grid) -> Spectrum:
     """The eigenvalues below E on ``grid`` and ``grid.coarse()``, combined by ``richardson``.
 
-    The fine levels are polished from the coarse ones, with bisection as
-    the fallback; see ``refine_multi``.
+    The coarse levels are polished from the oscillator's, the fine ones
+    from the coarse ones, with bisection as the fallback; see ``refine_multi``.
     """
     return refine_multi([(p, h, E)], grid)[0]
 

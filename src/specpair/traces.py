@@ -17,7 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .eigensolve import (Grid, discretize, eigenvalues_below_multi, refine_multi, richardson,
-                         _fine_levels)
+                         _polished_levels)
 from .errors import PreconditionError, WindowCapError, check_real
 from .potential import BumpSpec, PotentialSpec, bump_eval, potential_eval
 
@@ -226,7 +226,7 @@ def isospectral_distance(h: float, E: float, p_plus: PotentialSpec,
     """
     pair = (p_plus, p_minus)
     sc = eigenvalues_below_multi([discretize(p, h, grid.coarse()) for p in pair], [E, E])
-    sf = [_fine_levels(discretize(p, h, grid), E, c) for p, c in zip(pair, sc)]
+    sf = [_polished_levels(discretize(p, h, grid), E, coarse=c) for p, c in zip(pair, sc)]
     g_f, g_c = (s[0].gaps_to(s[1]) for s in (sf, sc))
     m = min(g_f.size, g_c.size)
     if m == 0:

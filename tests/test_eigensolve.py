@@ -519,7 +519,44 @@ def test_refine_falls_back_to_bisection_when_seeds_fail():
     with pytest.raises(ConvergenceError, match="residual bound"):
         eigensolve._levels(Tf, E, seeds=_seeds(coarse))
     got = refine(p, h, E, gf)
-    want = eigensolve._richardson_combine(eigenvalues_below(Tf, E), coarse)
+    want = eigensolve._richardson_combine(eigensolve._levels(Tf, E), coarse)
+    np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+    np.testing.assert_array_equal(got.eigenvalues_lo, want.eigenvalues_lo)
+    np.testing.assert_array_equal(got.error_estimate, want.error_estimate)
+
+
+# ---------------------------------------------------------------------------
+# windows polished from the oscillator's levels (2j - 1) h
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=50, deadline=None)
+@given(t=st.floats(0.0, 0.3), eps=st.floats(0.0, 0.3), reflect=st.booleans(),
+       h=st.floats(0.1, 1.0), n=st.sampled_from([1023, 2047, 4095]), E=st.floats(0.5, 30.0))
+def test_oscillator_seeded_levels_match_bisection(t, eps, reflect, h, n, E):
+    # every operator is x^2 + W with 0 <= W <= bump_height, so its levels sit
+    # at the oscillator's plus a shift smooth in the level index
+    T = discretize(PotentialSpec(t=t, eps=eps, reflect_beta=reflect), h, Grid(8.0, n))
+    seeded = eigenvalues_below(T, E)
+    bisected = eigensolve._levels(T, E)
+    assert len(seeded) == len(bisected) == count_below(T, E)
+    dev = np.abs((seeded.eigenvalues - bisected.eigenvalues)
+                 + (seeded.eigenvalues_lo - bisected.eigenvalues_lo))
+    assert np.all(dev <= seeded.error_estimate + bisected.error_estimate)
+
+
+@pytest.mark.parametrize("p, h, grid, E, check_margin", [
+    (harmonic(), 1.0, Grid(3.0, 7), 1e6, False),    # validate's charpoly oracle
+    (PotentialSpec(t=1.0, eps=1.0), 0.5, Grid(8.0, 4095), 12.0, True),
+], ids=["charpoly-oracle", "strong-bumps"])
+def test_oscillator_seeds_fall_back_to_bisection(p, h, grid, E, check_margin):
+    # levels far from (2j - 1) h leave inverse iteration without a certified
+    # residual; the window is then bisected exactly as without seeds
+    T = discretize(p, h, grid)
+    with pytest.raises(ConvergenceError, match="residual bound"):
+        eigensolve._levels(T, E, check_margin, seeds="oscillator")
+    got = eigenvalues_below(T, E, check_margin=check_margin)
+    want = eigensolve._levels(T, E, check_margin)
+    assert len(got) == count_below(T, E)
     np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
     np.testing.assert_array_equal(got.eigenvalues_lo, want.eigenvalues_lo)
     np.testing.assert_array_equal(got.error_estimate, want.error_estimate)
@@ -558,13 +595,17 @@ def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
     fine_rows = {B.diag.size for B, _ in eigensolve._parity_blocks(Tf) or ((Tf, 0),)}
     fine_solves = sum(n in fine_rows for n in solves)
     # inverse iteration stops at the first iterate its residual bound
-    # certifies, so a coarse level takes at most three solves from its bracket
-    # midpoint; a fine seed, its coarse level plus the move its block's
-    # previous moves extrapolate, takes at most two (100 fine and 147 coarse
-    # solves for the 50 levels of each grid at h = 0.16, 12 and 15 for the 6
-    # at h = 0.5)
+    # certifies.  A seed is its level on the next coarser grid (the
+    # oscillator's (2j - 1) h below the coarse grid) plus the move its
+    # block's previous moves extrapolate, so a fine level takes at most two
+    # solves, and a coarse one about two once its block has three moves
+    # (100 fine and 103 coarse solves for the 50 levels of each grid at
+    # h = 0.16, 12 and 17 for the 6 at h = 0.5, where the first seeds of
+    # each block take the most)
     assert fine_solves <= 2 * n_f
-    assert len(solves) - fine_solves <= 3 * n_c
+    assert len(solves) - fine_solves <= {0.16: 2.1, 0.5: 3}[h] * n_c
     fine = [(tol, width) for n, tol, width in stebz if n in fine_rows]
     assert len(fine) == len(fine_rows)
-    assert all(tol >= width for tol, width in fine)
+    # neither grid is bisected: each dstebz call only counts its window
+    assert len(stebz) == 2 * len(fine_rows)
+    assert all(tol >= width for _, tol, width in stebz)

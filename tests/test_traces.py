@@ -206,20 +206,25 @@ def test_isospectral_distance_decreases_with_h():
 
 
 def test_isospectral_distance_polishes_each_fine_grid_from_its_coarse_levels(monkeypatch):
-    # one seeded solve per member, as in refine_multi: the fine grid is not bisected
-    seeded = []
+    # every grid of both members is polished from seeds and none is bisected:
+    # each coarse grid from the oscillator's levels, each fine grid from its
+    # member's coarse levels
+    calls = []
     levels = eigensolve._levels
 
-    def counted(op, E, check_margin=True, seeds=None):
-        if seeds is not None:
-            seeded.append(op.grid)
-        return levels(op, E, check_margin, seeds)
+    def recorded(op, E, check_margin=True, seeds=None, keep=0):
+        spec = levels(op, E, check_margin, seeds, keep)
+        calls.append((op.grid, seeds, spec))
+        return spec
 
-    monkeypatch.setattr(eigensolve, "_levels", counted)
+    monkeypatch.setattr(eigensolve, "_levels", recorded)
     plus = PotentialSpec()
     grid = Grid(8.0, 2047)
     isospectral_distance(1.0, 10.0, plus, plus.reflected(), grid)
-    assert seeded == [grid, grid]
+    assert [g for g, _, _ in calls] == [grid.coarse()] * 2 + [grid] * 2
+    assert [seeds for _, seeds, _ in calls[:2]] == ["oscillator"] * 2
+    for (_, _, coarse), (_, seeds, _) in zip(calls[:2], calls[2:]):
+        np.testing.assert_array_equal(seeds, coarse.eigenvalues + coarse.eigenvalues_lo)
 
 
 def test_fit_gap_decay_exact_model():
