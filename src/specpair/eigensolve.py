@@ -6,14 +6,23 @@ by inverse iteration plus a compensated Rayleigh quotient.  The polish
 matters: bisection alone cannot locate an eigenvalue more tightly than a
 few ulps of ||T||, and the matrix norm grows like 2 h^2/dx^2, which would
 drown the tiny spectral differences this package exists to measure.
-Inverse iteration converges from any shift nearer its level than any
-other, at the rate |lam - sigma|/gap, so a start need be no closer than
-that (LAPACK's ``dstevx`` pairs ``dstebz`` with ``dstein`` on the same
-principle; Parlett, *The Symmetric Eigenvalue Problem*, ch. 4).  The
-Rayleigh correction is taken about inverse iteration's own eigenvalue
-estimate, so a rough start costs the polished value no precision, and a
-level's error estimate is the residual floor that inverse iteration
-certified, not the distance from its start.  A plain Sturm count
+
+One loop polishes every window and one certificate accepts it (``_levels``;
+LAPACK's ``dstevx`` pairs ``dstebz`` with ``dstein`` the same way; Parlett,
+*The Symmetric Eigenvalue Problem*, ch. 4).  ``dstebz`` (Kahan's
+Sturm-sequence bisection) counts the levels in the window, and the loop
+inverse-iterates exactly that many starts, one per level in increasing
+order.  Inverse iteration converges from any start nearer its level than
+any other, at the rate |lam - sigma|/gap, and the Rayleigh correction is
+taken about inverse iteration's own eigenvalue estimate, so a rough start
+costs the polished value no precision; a level's error estimate is the
+residual floor that inverse iteration certified, not the distance from its
+start.  The window is certified when there is one start per level of the
+count, no polished value lies above E, and consecutive values differ by
+more than their error estimates: they are then as many distinct
+eigenvalues in the window as it holds, so they are exactly its levels.
+Anything else raises ``ConvergenceError``, as does a start so far from
+its level that inverse iteration runs out of steps.  A plain Sturm count
 (``count_below``) is kept as an independent cross-check of the extraction.
 
 The starts come from a coarser problem, as in the nested iteration of
@@ -32,17 +41,13 @@ block's previous levels.  At n = 16383, once three moves are known, a
 fine seed lands within ~1e-10 of its level, against ~1e-4 for the coarse
 level plus the previous move alone, and inverse iteration certifies it
 in about two solves instead of four; a coarse level takes about two
-solves from its oscillator seed.  A seeded window is certified instead
-of bracketed: a ``dstebz`` call as wide as the window returns only the
-Sturm count of (vl, E], the polish must find exactly that many levels,
-and consecutive levels must differ by more than their error estimates.
-A window that fails the certificate, where a seed sits so far from its
-level that inverse iteration runs out of steps or a level is found
-twice, falls back to bisection (``_polished_levels`` owns that rule):
-``dstebz`` (Kahan's Sturm-sequence bisection) brackets every level,
-only as tightly as the polish needs, and each is polished from its
-bracket midpoint.  The window whose vector ``eigenvector`` hands out is
-bisected too.
+solves from its oscillator seed.  A seeded window's ``dstebz`` call is as
+wide as the window, so it only counts.  A window whose seeds fail the
+certificate is bisected instead (``_polished_levels`` owns that
+fallback): ``dstebz`` brackets every level, only as tightly as the
+polish needs, and the bracket midpoints are the starts, through the same
+loop and the same certificate.  The window whose vector ``eigenvector``
+hands out is bisected too.
 
 Grids are built exactly symmetric about 0 (nodes are signed multiples of
 dx), so reflecting a potential reverses the diagonal bitwise and exact
@@ -232,7 +237,10 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, floor: float,
     With ``confirm`` one more step from x is taken and its iterate returned
     the same way, as LAPACK ``dstein`` does: a vector whose error is the
     solve's backward error, ~eps ||T||, rather than floor/gap.  Only a
-    vector that is used, not just its Rayleigh quotient, needs it.
+    vector that is used, not just its Rayleigh quotient, needs it.  mu,
+    not ``lam``, is the estimate a Rayleigh correction is taken about
+    (``_levels``), so its rounding stays at eps^2 ||T|| however far ``lam``
+    started from the level.
     """
     sigma = lam + INVERSE_SHIFT
     dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - sigma, offdiag)
@@ -261,27 +269,6 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, floor: float,
     raise ConvergenceError(
         f"inverse iteration at {sigma:.17g}: residual bound {bound:.3e} above "
         f"{floor:.3e} after {INVERSE_MAX_ITER} steps")
-
-
-def _polish_one(T: TridiagonalOperator, lam: float, block: _Block, parity: int = 0,
-                confirm: bool = False):
-    """Inverse iteration on ``block`` + compensated Rayleigh quotient on T.
-
-    Returns (hi, lo, vec): the eigenvalue as an unevaluated double-double
-    sum hi + lo, and the eigenvector used.  Inverse iteration stops at the
-    first iterate its residual bound certifies, which is all the value
-    needs; with ``confirm`` it takes the confirming solve that a vector
-    handed out needs (``_inverse_iteration``).  The Rayleigh correction is
-    taken about inverse iteration's own eigenvalue estimate, not about
-    ``lam``, so its rounding stays at eps^2 ||T|| however wide the bracket
-    around ``lam`` was.  With ``parity`` 0 the block is T itself.  With a
-    parity block of T (``parity`` +1 even, -1 odd; see ``_parity_blocks``)
-    ``vec`` is the block's vector (``_full_vector`` expands it), and the
-    correction is taken on T's rows over half the grid (``_rayleigh_correction``).
-    """
-    v, shift = _inverse_iteration(*block, lam, confirm)
-    hi, lo = _dd.two_sum(shift, _rayleigh_correction(T, v, shift, parity))
-    return hi, lo, v
 
 
 def _rayleigh_correction(T: TridiagonalOperator, z: np.ndarray, shift: float,
@@ -394,31 +381,28 @@ def _next_move(moves: list[float]) -> float:
 
 
 def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
-            seeds: np.ndarray | str | None = None, keep: int = 0):
-    """The polished eigenvalues of one operator in (vl, E]; see ``eigenvalues_below_multi``.
+            seeds: np.ndarray | None = None, keep: int = 0):
+    """The polished eigenvalues of one operator in (vl, E]: the module docstring's one loop.
 
-    Without ``seeds`` every level is polished from its ``dstebz`` bracket
-    midpoint.  ``seeds`` approximate the levels in increasing order: a
-    coarser grid's spectrum, or "oscillator" for the oscillator's levels
-    (2j - 1) h, j = 1..N, N the window's Sturm count.  A mirror-symmetric
-    operator's even block takes seeds 0, 2, 4, ... and its odd block
-    1, 3, 5, ... (levels alternate parity), so each block takes exactly as
-    many oscillator seeds as it holds levels.  Each block polishes seed +
-    the move ``_next_move`` extrapolates from how far its previous levels
-    moved from their seeds (a perturbation or discretization error, smooth
-    in the level index), drops levels above E, and must find exactly as
-    many as the Sturm count of the window, which one ``dstebz`` call of
-    tolerance E - vl returns without bisecting.  A seed too far from its
-    level raises ``ConvergenceError``; ``_polished_levels`` then bisects.
-    Only the level whose vector is handed out (``keep``) takes inverse
-    iteration's confirming solve.  This is the one owner of the
-    turning-point margin: unless ``check_margin`` is False, an operator
-    with V(L) < E + 10 raises ``GridMarginError``.
+    Each block inverse-iterates (``_inverse_iteration``) as many starts as
+    its Sturm count of the window, and a value is the compensated Rayleigh
+    quotient of the vector found, corrected about inverse iteration's own
+    estimate rather than the start (``_rayleigh_correction``).  Without
+    ``seeds`` the starts are the block's ``dstebz`` bracket midpoints.
+    ``seeds`` approximate the levels in increasing order (a coarser grid's
+    spectrum, or the oscillator's (2j - 1) h); a mirror-symmetric operator's
+    even block takes seeds 0, 2, 4, ... and its odd block 1, 3, 5, ...
+    (levels alternate parity), each up to its count, and a start is the
+    seed plus the move ``_next_move`` extrapolates from how far the block's
+    previous levels moved from theirs.  A window that fails the certificate
+    raises ``ConvergenceError``; ``_polished_levels`` then bisects.  This is
+    the one owner of the turning-point margin: unless ``check_margin`` is
+    False, an operator with V(L) < E + 10 raises ``GridMarginError``.
 
-    Without ``seeds`` and with ``keep`` = j >= 1 it returns (Spectrum, u),
-    u the full-grid vector of level j (None if the window holds fewer),
-    which by the same alternation is block k's level i for
-    j = i * len(parts) + k + 1.
+    With ``keep`` = j >= 1 it returns (Spectrum, u), u the full-grid vector
+    of level j (None if the window holds fewer), which by the same
+    alternation is block k's level i for j = i * len(parts) + k + 1; only
+    that level takes inverse iteration's confirming solve.
     """
     if check_margin and op.v_boundary < E + 10.0:
         raise GridMarginError(
@@ -441,47 +425,35 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     n_levels = sum(s.size for s in starts)
     if n_levels > LEVEL_CAP:
         raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
-    if isinstance(seeds, str):
-        seeds = (2.0 * np.arange(1, n_levels + 1) - 1.0) * op.h
-    # the level lies within t/2 of its bracket midpoint; a polish that
-    # moves further has found another level
-    slack = t + floor
     lam, lam_lo, kept = [], [], None
     i_keep, k_keep = divmod(keep - 1, len(parts))
     for k, ((B, parity), block_starts) in enumerate(zip(parts, starts)):
-        if seeds is None:
-            for i, mid in enumerate(block_starts):
-                keeping = (i, k) == (i_keep, k_keep)
-                hi, lo, v = _polish_one(op, mid, B, parity, confirm=keeping)
-                if abs((hi - mid) + lo) > slack:
-                    raise ConvergenceError(
-                        f"polish moved a level from its bracket midpoint {mid:.17g} "
-                        f"by {(hi - mid) + lo:.3e}, beyond {slack:.3e}")
-                lam.append(hi)
-                lam_lo.append(lo)
-                if keeping:
-                    kept = _full_vector(v, parity)
-        else:
-            found, moves = 0, []
-            for seed in seeds[k::len(parts)]:
-                hi, lo, _ = _polish_one(op, seed + _next_move(moves), B, parity)
-                moves.append((hi - seed) + lo)
-                if hi + lo <= E:
-                    lam.append(hi)
-                    lam_lo.append(lo)
-                    found += 1
-            if found != block_starts.size:
-                raise ConvergenceError(
-                    f"seeded polish found {found} levels below E = {E} in a block "
-                    f"that holds {block_starts.size}")
+        if seeds is not None:
+            block_starts = seeds[k::len(parts)][:block_starts.size]
+        moves = []   # only seeds move: a midpoint starts where it is
+        for i, start in enumerate(block_starts):
+            keeping = (i, k) == (i_keep, k_keep)
+            v, shift = _inverse_iteration(*B, start + _next_move(moves), keeping)
+            hi, lo = _dd.two_sum(shift, _rayleigh_correction(op, v, shift, parity))
+            if seeds is not None:
+                moves.append((hi - start) + lo)
+            lam.append(hi)
+            lam_lo.append(lo)
+            if keeping:
+                kept = _full_vector(v, parity)
     lam, lam_lo = np.array(lam), np.array(lam_lo)
     order = np.lexsort((lam_lo, lam))
     lam, lam_lo = lam[order], lam_lo[order]
     # inverse iteration stopped on a residual bound of floor, which bounds
     # the distance from the Rayleigh quotient to an eigenvalue of T
     est = floor + 8.0 * _EPS * np.maximum(1.0, np.abs(lam))
-    if np.any(np.diff(lam + lam_lo) <= est[:-1] + est[1:]):
-        raise ConvergenceError("polish found two levels closer than their error estimates")
+    value = lam + lam_lo
+    if (lam.size != n_levels or np.any(value > E)
+            or np.any(np.diff(value) <= est[:-1] + est[1:])):
+        raise ConvergenceError(
+            f"polish did not certify the window below E = {E}: {lam.size} starts for "
+            f"{n_levels} levels, values up to {np.max(value, initial=-np.inf):.17g}, "
+            f"or two closer than their error estimates")
     spec = Spectrum(h=op.h, eigenvalues=lam, eigenvalues_lo=lam_lo,
                     error_estimate=est, grid=op.grid)
     return (spec, kept) if keep else spec
@@ -492,11 +464,17 @@ def _polished_levels(op: TridiagonalOperator, E: float, check_margin: bool = Tru
     """``op``'s levels in (vl, E], polished from seeds, else bisected: the one owner of the fallback.
 
     The seeds are ``coarse``'s levels, ``op``'s window on ``grid.coarse()``,
-    or without ``coarse`` the oscillator's levels (2j - 1) h (``_levels``).
-    A seeded window that ``_levels`` cannot certify (``ConvergenceError``)
-    is bisected and polished from its bracket midpoints instead.
+    or without ``coarse`` the oscillator's levels (2j - 1) h, j = 1..LEVEL_CAP,
+    of which ``_levels`` takes as many as the window holds.  A rough seed
+    costs the value no precision, since its Rayleigh correction is taken
+    about inverse iteration's own estimate; a window that ``_levels``
+    cannot certify from its seeds (``ConvergenceError``) is bisected and
+    polished from its bracket midpoints instead.
     """
-    seeds = "oscillator" if coarse is None else coarse.eigenvalues + coarse.eigenvalues_lo
+    if coarse is None:
+        seeds = (2.0 * np.arange(1, LEVEL_CAP + 1) - 1.0) * op.h
+    else:
+        seeds = coarse.eigenvalues + coarse.eigenvalues_lo
     try:
         return _levels(op, E, check_margin, seeds)
     except ConvergenceError:
@@ -508,27 +486,19 @@ def eigenvalues_below_multi(ops: list[TridiagonalOperator], E_list,
     """The polished eigenvalues of each operator in its window (vl, E].
 
     vl lies below the operator's Gershgorin bound, so the window holds every
-    eigenvalue up to E.  Each level is polished from the oscillator's level
-    (2j - 1) h plus the shift its block's previous levels extrapolate, and
-    the window is certified by its Sturm count (``_levels``).  A window that
-    fails the certificate is bisected instead (``_polished_levels``): LAPACK
-    ``dstebz`` brackets each level to width t = BRACKET_REL * max(1, min(E,
-    top)), where top = max(diag) + 2|off| is the Gershgorin upper bound;
-    that is enough for the polish to start nearer its level than any other
-    (t is far below the level spacing for up to ``LEVEL_CAP`` levels), and
-    the midpoint is then polished.  Capping E at top keeps a window above
-    the whole spectrum from widening the brackets past the spacing.  The
-    error estimate of each level is the residual floor 8 eps ||T||_1 that
-    inverse iteration certified plus the rounding of the value, not the
-    distance from its start; consecutive levels must differ by more than
-    the sum of their estimates.  A mirror-symmetric operator is counted,
-    inverse-iterated and polished as its even and odd half-size blocks
-    (``_parity_blocks``); the Rayleigh quotient is
-    taken on the stored T's rows over half the grid
-    (``_rayleigh_correction``).  More than ``LEVEL_CAP``
-    levels in a window raise ``WindowCapError``.  ``check_margin=False``
-    skips the turning-point margin guard (useful when the matrix itself,
-    not the continuum problem, is the object of study).
+    eigenvalue up to E.  Each window is polished from the oscillator's
+    levels (2j - 1) h and certified by its Sturm count, or bisected when it
+    fails the certificate (``_polished_levels``; the module docstring states
+    the rule).  A bisected window's ``dstebz`` brackets have width
+    t = BRACKET_REL * max(1, min(E, top)), top = max(diag) + 2|off| the
+    Gershgorin upper bound: far below the level spacing for up to
+    ``LEVEL_CAP`` levels, and capping E at top keeps a window above the
+    whole spectrum from widening them past it.  A mirror-symmetric operator
+    is counted, inverse-iterated and polished as its even and odd half-size
+    blocks (``_parity_blocks``).  More than ``LEVEL_CAP`` levels in a window
+    raise ``WindowCapError``.  ``check_margin=False`` skips the
+    turning-point margin guard (useful when the matrix itself, not the
+    continuum problem, is the object of study).
     """
     Es = [float(e) for e in E_list]
     if len(Es) != len(ops):
@@ -573,7 +543,8 @@ def refine_multi(entries: list[tuple[PotentialSpec, float, float]],
     The coarse grid, ``grid.coarse()``, is solved first, from the
     oscillator's levels (``eigenvalues_below_multi``), and each fine grid is
     polished from its coarse levels; either window falls back to bisection
-    (``_polished_levels``; the module docstring says why).  Each solve checks
+    (``_polished_levels``; the module docstring states the one rule both
+    follow).  Each solve checks
     the turning-point margin (V(L) >= E + 10, else ``GridMarginError``);
     both grids share L, so the coarse solve raises first.
     """

@@ -152,11 +152,12 @@ def test_polish_outside_bracket_is_an_error(monkeypatch):
     T = discretize(PotentialSpec(), 1.0, Grid(8.0, 511))
     assert eigensolve._parity_blocks(T) is None
     inverse_iteration = eigensolve._inverse_iteration
-    # every level polished with the vector of the level above
+    # every level polished with the vector of the level above, so the top
+    # one lands above E and no start certifies the window
     monkeypatch.setattr(eigensolve, "_inverse_iteration",
                         lambda d, e, floor, lam, confirm:
                         inverse_iteration(d, e, floor, lam + 2.0, confirm))
-    with pytest.raises(ConvergenceError, match="bracket"):
+    with pytest.raises(ConvergenceError, match="did not certify the window"):
         eigenvalues_below(T, 6.0)
 
 
@@ -168,7 +169,7 @@ def test_polish_outside_bracket_is_an_error_in_a_parity_block(monkeypatch):
     monkeypatch.setattr(eigensolve, "_inverse_iteration",
                         lambda d, e, floor, lam, confirm:
                         inverse_iteration(d, e, floor, lam + 4.0, confirm))
-    with pytest.raises(ConvergenceError, match="bracket"):
+    with pytest.raises(ConvergenceError, match="did not certify the window"):
         eigenvalues_below(T, 6.0)
 
 
@@ -207,7 +208,7 @@ def test_polish_factors_once_per_level(monkeypatch):
 @pytest.mark.parametrize("p, rows", [(harmonic(), [1023, 512, 511]), (PotentialSpec(), [1023])],
                          ids=["mirror", "asymmetric"])
 def test_the_floor_is_computed_once_per_block(monkeypatch, p, rows):
-    # the operator's floor serves the window, its slack and every estimate;
+    # the operator's floor serves the window, its certificate and every estimate;
     # each parity block of a mirror-symmetric one takes its own, once
     floor = eigensolve._floor
     calls = []
@@ -529,6 +530,10 @@ def test_refine_falls_back_to_bisection_when_seeds_fail():
 # windows polished from the oscillator's levels (2j - 1) h
 # ---------------------------------------------------------------------------
 
+def _oscillator(T):
+    return (2.0 * np.arange(1, eigensolve.LEVEL_CAP + 1) - 1.0) * T.h
+
+
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(0.0, 0.3), eps=st.floats(0.0, 0.3), reflect=st.booleans(),
        h=st.floats(0.1, 1.0), n=st.sampled_from([1023, 2047, 4095]), E=st.floats(0.5, 30.0))
@@ -553,7 +558,7 @@ def test_oscillator_seeds_fall_back_to_bisection(p, h, grid, E, check_margin):
     # residual; the window is then bisected exactly as without seeds
     T = discretize(p, h, grid)
     with pytest.raises(ConvergenceError, match="residual bound"):
-        eigensolve._levels(T, E, check_margin, seeds="oscillator")
+        eigensolve._levels(T, E, check_margin, seeds=_oscillator(T))
     got = eigenvalues_below(T, E, check_margin=check_margin)
     want = eigensolve._levels(T, E, check_margin)
     assert len(got) == count_below(T, E)
@@ -609,3 +614,50 @@ def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
     # neither grid is bisected: each dstebz call only counts its window
     assert len(stebz) == 2 * len(fine_rows)
     assert all(tol >= width for _, tol, width in stebz)
+
+
+def test_a_coarse_window_with_an_extra_level_polishes_only_the_fine_count(monkeypatch):
+    # on this grid pair the stencil's error is ~0.03 at level 5, so a window
+    # edge midway between coarse level 5 and fine level 5 holds 5 coarse
+    # levels and 4 fine ones; each block polishes as many seeds as its count
+    p, h = PotentialSpec(), 0.5
+    gf = Grid(8.0, 255)
+    Tf, Tc = discretize(p, h, gf), discretize(p, h, gf.coarse())
+    assert eigensolve._parity_blocks(Tf) is None
+    E = 0.5 * (_seeds(eigensolve._levels(Tc, 10.0))[4] + _seeds(eigensolve._levels(Tf, 10.0))[4])
+    coarse = eigenvalues_below(Tc, E)
+    assert len(coarse) == count_below(Tf, E) + 1 == 5
+    factorizations, bisected = [], []
+    dgttrf, levels = eigensolve.dgttrf, eigensolve._levels
+
+    def counted_dgttrf(*args):
+        factorizations.append(args[1].size)
+        return dgttrf(*args)
+
+    def recorded(op, E, check_margin=True, seeds=None, keep=0):
+        bisected.append(seeds is None)
+        return levels(op, E, check_margin, seeds, keep)
+
+    monkeypatch.setattr(eigensolve, "dgttrf", counted_dgttrf)
+    monkeypatch.setattr(eigensolve, "_levels", recorded)
+    got = eigensolve._polished_levels(Tf, E, coarse=coarse)
+    assert factorizations == [gf.n] * 4
+    assert bisected == [False]
+    monkeypatch.undo()
+    want = eigensolve._levels(Tf, E)
+    assert len(got) == len(want) == 4
+    dev = np.abs((got.eigenvalues - want.eigenvalues) + (got.eigenvalues_lo - want.eigenvalues_lo))
+    assert np.all(dev <= got.error_estimate + want.error_estimate)
+
+
+@pytest.mark.parametrize("p", [harmonic(), PotentialSpec()], ids=["parity", "full"])
+@pytest.mark.parametrize("j", [1, 4])
+def test_keep_hands_out_the_vector_of_a_seeded_window(p, j):
+    T = discretize(p, 0.5, Grid(8.0, 1023))
+    assert (eigensolve._parity_blocks(T) is not None) == (p == harmonic())
+    spec, u = eigensolve._levels(T, 6.0, seeds=_oscillator(T), keep=j)
+    assert len(spec) == count_below(T, 6.0) == 6
+    assert u.shape == (T.grid.n,)
+    res = _dd.residual_norm(T.diag, T.off_value, u, spec.eigenvalues[j - 1],
+                            spec.eigenvalues_lo[j - 1]) / np.linalg.norm(u)
+    assert res <= eigensolve._floor(T.diag, T.off_value)

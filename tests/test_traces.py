@@ -219,10 +219,13 @@ def test_isospectral_distance_polishes_each_fine_grid_from_its_coarse_levels(mon
 
     monkeypatch.setattr(eigensolve, "_levels", recorded)
     plus = PotentialSpec()
-    grid = Grid(8.0, 2047)
-    isospectral_distance(1.0, 10.0, plus, plus.reflected(), grid)
+    grid, h = Grid(8.0, 2047), 1.0
+    isospectral_distance(h, 10.0, plus, plus.reflected(), grid)
     assert [g for g, _, _ in calls] == [grid.coarse()] * 2 + [grid] * 2
-    assert [seeds for _, seeds, _ in calls[:2]] == ["oscillator"] * 2
+    # the oscillator's (2j - 1) h up to the cap; _levels takes the window's count
+    oscillator = (2.0 * np.arange(1, eigensolve.LEVEL_CAP + 1) - 1.0) * h
+    for _, seeds, _ in calls[:2]:
+        np.testing.assert_array_equal(seeds, oscillator)
     for (_, _, coarse), (_, seeds, _) in zip(calls[:2], calls[2:]):
         np.testing.assert_array_equal(seeds, coarse.eigenvalues + coarse.eigenvalues_lo)
 
