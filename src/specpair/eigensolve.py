@@ -29,7 +29,8 @@ The starts come from a coarser problem, as in the nested iteration of
 multigrid (Brandt, *Math. Comp.* 31, 1977).  Every operator here is
 x^2 + W with 0 <= W <= ``PotentialSpec.bump_height``, so by min-max its
 j-th level sits within the bump height, plus the stencil's error, of the
-oscillator's (2j - 1) h: the oscillator is the coarsest "grid".
+oscillator's (2j - 1) h: the oscillator is the coarsest "grid", and it
+gives each level its start vector as well as its seed.
 Richardson refinement (``refine``, and ``traces.isospectral_distance``
 for both members of a pair) solves its coarse grid from those levels and
 polishes its fine grid from the coarse grid's levels, which lie within
@@ -39,9 +40,17 @@ dx^2/h^2 for the oscillator), so each seed is the coarser level plus the
 second-order backward-difference extrapolation of the moves of the
 block's previous levels.  At n = 16383, once three moves are known, a
 fine seed lands within ~1e-10 of its level, against ~1e-4 for the coarse
-level plus the previous move alone, and inverse iteration certifies it
-in about two solves instead of four; a coarse level takes about two
-solves from its oscillator seed.  A seeded window's ``dstebz`` call is as
+level plus the previous move alone.  Every level's inverse iteration,
+seeded, bisected or kept, starts from the oscillator's eigenfunction
+psi_j(x/sqrt(h)) sampled on the grid (``_oscillator_vectors``), which
+lies within O(bump + dx^2) of the level's vector.  The stopping bound is
+about that distance times |lam - sigma|, so a level certifies on its
+first solve once its seed is close: a ``trace`` pass takes about one
+solve a level on either grid, where a fixed random start took about two.
+A start's other components would stay in the vector's tails at the
+residual floor; from psi_j the tails decay with the eigenfunction's
+(below 1e-100 at |x| >= 5 for the ground state at h = 0.05, where a
+random start left 5e-27).  A seeded window's ``dstebz`` call is as
 wide as the window, so it only counts.  A window whose seeds fail the
 certificate is bisected instead (``_polished_levels`` owns that
 fallback): ``dstebz`` brackets every level, only as tightly as the
@@ -72,7 +81,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -211,26 +219,57 @@ class _Block(NamedTuple):
     floor: float
 
 
-@cache
-def _start_vector(n: int) -> np.ndarray:
-    v = np.random.default_rng(0x5eed).standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def _norm(w: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-D float array, bit for bit, without its dispatch."""
     return math.sqrt(np.dot(w, w))
 
 
-def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, floor: float,
-                       lam: float, confirm: bool = True) -> tuple[np.ndarray, float]:
+def _oscillator_vectors(xi: np.ndarray, parity: int):
+    """Unit-norm starts for a block's levels, lowest first: the oscillator's eigenfunctions.
+
+    ``xi`` = x/sqrt(h) at the block's rows.  The oscillator's j-th
+    eigenfunction is psi_j(xi), psi_0 ~ exp(-xi^2/2) (j from 0 here, the
+    level j + 1).  The full T (``parity`` 0) takes every psi_j, by
+    psi_{j+1} = (sqrt(2) xi psi_j - sqrt(j) psi_{j-1}) / sqrt(j+1); the even
+    (odd) block takes the even (odd) ones, two levels a step, by
+    psi_{j+2} = ((2 xi^2 - (2j+1)) psi_j - sqrt(j(j-1)) psi_{j-2}) / sqrt((j+1)(j+2)).
+    Both recurrences act row by row, so the even block's centre entry,
+    psi_j(0)/sqrt(2) as ``_rayleigh_correction``'s z_0, is set once in psi_0,
+    and where psi_0 underflows (xi > ~38.6) every psi_j is 0: beyond the
+    turning point sqrt(2j + 1) <= ~32 of the ``LEVEL_CAP`` lowest levels.
+    Each start is generated only when its level is polished.
+    """
+    prev, cur = np.zeros_like(xi), np.exp(-0.5 * xi * xi)
+    if parity < 0:
+        cur *= math.sqrt(2.0) * xi
+    elif parity > 0:
+        cur[0] *= math.sqrt(0.5)
+    a = math.sqrt(2.0) * xi if parity == 0 else 2.0 * xi * xi
+    j = int(parity < 0)
+    while True:
+        yield cur / _norm(cur)
+        if parity == 0:
+            cur, prev = (a * cur - math.sqrt(j) * prev) / math.sqrt(j + 1), cur
+            j += 1
+        else:
+            cur, prev = (((a - (2 * j + 1)) * cur - math.sqrt(j * (j - 1)) * prev)
+                         / math.sqrt((j + 1) * (j + 2))), cur
+            j += 2
+
+
+def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, floor: float, lam: float,
+                       v: np.ndarray, confirm: bool = True) -> tuple[np.ndarray, float]:
     """Unit-norm eigenvector for the eigenvalue nearest ``lam``, and that eigenvalue.
 
     T has ``diag`` and ``offdiag``, and T - sigma (sigma = lam + INVERSE_SHIFT)
     is LU-factored once (LAPACK ``dgttrf``); each step is one ``dgttrs`` solve
-    w = (T - sigma)^-1 v.  With ||v|| = 1 and x = w/||w||,
-    min(||x - v||, ||x + v||)/||w|| bounds the residual ||(T - mu) x|| at
-    mu = sigma + (v . x)/||w||, hence ||(T - rho(x)) x|| (Parlett, ch. 4).
+    w = (T - sigma)^-1 v, the first from the unit-norm start ``v``.  With
+    ||v|| = 1 and x = w/||w||, min(||x - v||, ||x + v||)/||w|| bounds the
+    residual ||(T - mu) x|| at mu = sigma + (v . x)/||w||, hence
+    ||(T - rho(x)) x|| (Parlett, ch. 4).  That bound is about |lam' - sigma|
+    times the start's distance from the vector of the level lam' nearest
+    sigma, so a start close to that vector (``_oscillator_vectors``) stops
+    after one solve once ``lam`` is close too.
     ``INVERSE_MAX_ITER`` steps without that bound reaching ``floor``
     (``_floor``) raise ConvergenceError.  Once it does, x is returned with
     mu: x's Rayleigh quotient, and mu, lie within ``floor`` of the level.
@@ -255,7 +294,6 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, floor: float,
         w /= growth
         return w, growth
 
-    v = _start_vector(diag.size)
     diff = np.empty(diag.size)
     for _ in range(INVERSE_MAX_ITER):
         x, growth = solve(v)
@@ -387,8 +425,10 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     Each block inverse-iterates (``_inverse_iteration``) as many starts as
     its Sturm count of the window, and a value is the compensated Rayleigh
     quotient of the vector found, corrected about inverse iteration's own
-    estimate rather than the start (``_rayleigh_correction``).  Without
-    ``seeds`` the starts are the block's ``dstebz`` bracket midpoints.
+    estimate rather than the start (``_rayleigh_correction``).  Each
+    level's start vector is the oscillator's eigenfunction of the same
+    index on the block's rows (``_oscillator_vectors``).  Without ``seeds``
+    the starts are the block's ``dstebz`` bracket midpoints.
     ``seeds`` approximate the levels in increasing order (a coarser grid's
     spectrum, or the oscillator's (2j - 1) h); a mirror-symmetric operator's
     even block takes seeds 0, 2, 4, ... and its odd block 1, 3, 5, ...
@@ -427,13 +467,16 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
         raise WindowCapError(f"{n_levels} levels below E = {E}; cap is {LEVEL_CAP}")
     lam, lam_lo, kept = [], [], None
     i_keep, k_keep = divmod(keep - 1, len(parts))
+    xi = op.grid.nodes() / math.sqrt(op.h)
     for k, ((B, parity), block_starts) in enumerate(zip(parts, starts)):
         if seeds is not None:
             block_starts = seeds[k::len(parts)][:block_starts.size]
+        # a block's rows are the last of the grid's
+        vectors = _oscillator_vectors(xi[xi.size - B.diag.size:], parity)
         moves = []   # only seeds move: a midpoint starts where it is
-        for i, start in enumerate(block_starts):
+        for i, (start, v0) in enumerate(zip(block_starts, vectors)):
             keeping = (i, k) == (i_keep, k_keep)
-            v, shift = _inverse_iteration(*B, start + _next_move(moves), keeping)
+            v, shift = _inverse_iteration(*B, start + _next_move(moves), v0, keeping)
             hi, lo = _dd.two_sum(shift, _rayleigh_correction(op, v, shift, parity))
             if seeds is not None:
                 moves.append((hi - start) + lo)

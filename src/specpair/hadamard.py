@@ -52,19 +52,22 @@ def variational_derivative(level: Level, beta: BumpSpec) -> float:
 
 
 def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
-                              eps_fd: float, lam_guess: float) -> float:
+                              eps_fd: float, lam_guess: float, u: np.ndarray) -> float:
     """lam_j(+eps) - lam_j(-eps) with correlated compensated extraction.
 
     The perturbation is never rounded into the large diagonal entries: the
     inverse iteration runs on the rounded matrix (vector quality only), but
     the Rayleigh quotient is taken against the exact T +- eps*B, so the two
     eigenvalues share the base matrix bit for bit and their difference
-    survives the cancellation.
+    survives the cancellation.  Both iterations start from the base
+    level's vector ``u``.
     """
     diffs = []
+    start = u / np.linalg.norm(u)
     for sgn in (+1.0, -1.0):
         diag = T_base.diag + (sgn * eps_fd) * bvals
-        v, _ = _inverse_iteration(diag, T_base.offdiag, _floor(diag, T_base.off_value), lam_guess)
+        v, _ = _inverse_iteration(diag, T_base.offdiag, _floor(diag, T_base.off_value),
+                                  lam_guess, start)
         corr = _dd.rayleigh_correction(T_base.diag, T_base.off_value, v, lam_guess,
                                        extra_diag=bvals, extra_scale=sgn * eps_fd)
         diffs.append(_dd.two_sum(lam_guess, corr))
@@ -84,7 +87,7 @@ def fd_oracle(level: Level, beta: BumpSpec, eps_fd: float) -> float:
         raise PreconditionError(
             f"eps_fd = {eps_fd} can move level {j} by {shift_bound:.3e}, "
             f"comparable to its spectral gaps")
-    diff = _polished_pair_difference(level.T, bvals, eps_fd, float(lams[j - 1]))
+    diff = _polished_pair_difference(level.T, bvals, eps_fd, float(lams[j - 1]), level.u)
     return diff / (2.0 * eps_fd)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from specpair import _dd, eigensolve
@@ -155,8 +155,8 @@ def test_polish_outside_bracket_is_an_error(monkeypatch):
     # every level polished with the vector of the level above, so the top
     # one lands above E and no start certifies the window
     monkeypatch.setattr(eigensolve, "_inverse_iteration",
-                        lambda d, e, floor, lam, confirm:
-                        inverse_iteration(d, e, floor, lam + 2.0, confirm))
+                        lambda d, e, floor, lam, v, confirm:
+                        inverse_iteration(d, e, floor, lam + 2.0, v, confirm))
     with pytest.raises(ConvergenceError, match="did not certify the window"):
         eigenvalues_below(T, 6.0)
 
@@ -167,8 +167,8 @@ def test_polish_outside_bracket_is_an_error_in_a_parity_block(monkeypatch):
     inverse_iteration = eigensolve._inverse_iteration
     # a block holds every other level, so the next one of its parity is 4h up
     monkeypatch.setattr(eigensolve, "_inverse_iteration",
-                        lambda d, e, floor, lam, confirm:
-                        inverse_iteration(d, e, floor, lam + 4.0, confirm))
+                        lambda d, e, floor, lam, v, confirm:
+                        inverse_iteration(d, e, floor, lam + 4.0, v, confirm))
     with pytest.raises(ConvergenceError, match="did not certify the window"):
         eigenvalues_below(T, 6.0)
 
@@ -176,10 +176,13 @@ def test_polish_outside_bracket_is_an_error_in_a_parity_block(monkeypatch):
 def test_inverse_iteration_midway_does_not_converge():
     T = discretize(harmonic(), 1.0, Grid(8.0, 511))
     lam = eigenvalues_below(T, 4.0).eigenvalues
-    # equidistant from two levels the iterates alternate between them
+    # equidistant from two levels the iterates alternate between them, from
+    # a start with a part in either level's vector
+    vectors = eigensolve._oscillator_vectors(T.grid.nodes(), 0)
+    v = next(vectors) + next(vectors)
     with pytest.raises(ConvergenceError, match="residual bound"):
         eigensolve._inverse_iteration(T.diag, T.offdiag, eigensolve._floor(T.diag, T.off_value),
-                                      0.5 * (lam[0] + lam[1]))
+                                      0.5 * (lam[0] + lam[1]), v / np.linalg.norm(v))
 
 
 def test_polish_factors_once_per_level(monkeypatch):
@@ -199,9 +202,10 @@ def test_polish_factors_once_per_level(monkeypatch):
     spec = eigenvalues_below(T, 8.0)
     assert len(spec) == 8
     assert calls["dgttrf"] == len(spec)
-    # a shift up to t/2 = 4e-5 from its level gains ~5 digits a step against
-    # the same-parity gap of 2: three steps reach the 8 eps ||T||_1 residual
-    # floor, and no value takes a confirming solve (22 solves here)
+    # each level starts from its oscillator level and eigenfunction, and
+    # inverse iteration stops at the first iterate that reaches the
+    # 8 eps ||T||_1 residual floor; no value takes a confirming solve
+    # (11 solves here)
     assert calls["dgttrs"] <= 3 * len(spec)
 
 
@@ -262,9 +266,11 @@ def test_half_grid_correction_matches_the_unfolded_vector(h, n, E):
     T = discretize(harmonic(), h, Grid(8.0, n))
     lam = eigenvalues_below(T, E).eigenvalues
     m = n // 2
+    xi = T.grid.nodes() / math.sqrt(h)
     for B, parity in eigensolve._parity_blocks(T):
-        for mid in lam[(parity < 0)::2]:
-            z, shift = eigensolve._inverse_iteration(*B, mid + 1e-6)
+        vectors = eigensolve._oscillator_vectors(xi[n - B.diag.size:], parity)
+        for mid, v in zip(lam[(parity < 0)::2], vectors):
+            z, shift = eigensolve._inverse_iteration(*B, mid + 1e-6, v)
             u = np.zeros(n)
             u[m + 1:] = z[parity > 0:]
             u[:m] = parity * u[:m:-1]
@@ -472,6 +478,10 @@ def _seeds(spec):
 @given(t=st.floats(0.0, 0.2), eps=st.floats(0.0, 0.2), reflect=st.booleans(),
        h=st.sampled_from([1.0, 0.5, 0.25]), half=st.integers(512, 2048),
        k=st.integers(1, 25))
+# a coarse pair (dx = 0.25 and 0.5 at h = 1) whose moves grow too fast to
+# extrapolate: level 3's seed is 0.05 off, yet its oscillator eigenfunction
+# start certifies it
+@example(t=0.16263274783891218, eps=0.16402780832539135, reflect=True, h=1.0, half=32, k=3)
 def test_seeded_levels_match_bisection(t, eps, reflect, h, half, k):
     # up to 25 levels, the most whose window keeps V(L) >= E + 10 at h = 1,
     # so most seeds are extrapolated from three moves of their block
@@ -509,12 +519,12 @@ def test_seeds_missing_or_repeating_a_level_raise(p, edit):
 
 
 def test_refine_falls_back_to_bisection_when_seeds_fail():
-    # on this coarse pair (dx = 0.25 and 0.5 at h = 1) the moves grow too
-    # fast to extrapolate: level 3's seed is 0.05 off, and inverse iteration
-    # runs out of steps
-    p = PotentialSpec(t=0.16263274783891218, eps=0.16402780832539135, reflect_beta=True)
+    # on this coarse pair (dx = 0.5 and 1 at h = 1) with strong bumps the
+    # coarse levels lie too far from the fine ones: level 2's seed is 0.18
+    # off, and inverse iteration runs out of steps
+    p = PotentialSpec(t=1.0, eps=1.0)
     h, E = 1.0, 5.0
-    gf = Grid(8.0, 63)
+    gf = Grid(8.0, 31)
     Tf, Tc = discretize(p, h, gf), discretize(p, h, gf.coarse())
     coarse = eigenvalues_below(Tc, E)
     with pytest.raises(ConvergenceError, match="residual bound"):
@@ -537,11 +547,14 @@ def _oscillator(T):
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(0.0, 0.3), eps=st.floats(0.0, 0.3), reflect=st.booleans(),
        h=st.floats(0.1, 1.0), n=st.sampled_from([1023, 2047, 4095]), E=st.floats(0.5, 30.0))
+# strong bumps: the levels sit far from (2j - 1) h, and the oscillator's
+# eigenfunctions still start each one close enough to certify
+@example(t=1.0, eps=1.0, reflect=False, h=0.5, n=4095, E=12.0)
 def test_oscillator_seeded_levels_match_bisection(t, eps, reflect, h, n, E):
     # every operator is x^2 + W with 0 <= W <= bump_height, so its levels sit
     # at the oscillator's plus a shift smooth in the level index
     T = discretize(PotentialSpec(t=t, eps=eps, reflect_beta=reflect), h, Grid(8.0, n))
-    seeded = eigenvalues_below(T, E)
+    seeded = eigensolve._levels(T, E, seeds=_oscillator(T))
     bisected = eigensolve._levels(T, E)
     assert len(seeded) == len(bisected) == count_below(T, E)
     dev = np.abs((seeded.eigenvalues - bisected.eigenvalues)
@@ -551,11 +564,11 @@ def test_oscillator_seeded_levels_match_bisection(t, eps, reflect, h, n, E):
 
 @pytest.mark.parametrize("p, h, grid, E, check_margin", [
     (harmonic(), 1.0, Grid(3.0, 7), 1e6, False),    # validate's charpoly oracle
-    (PotentialSpec(t=1.0, eps=1.0), 0.5, Grid(8.0, 4095), 12.0, True),
-], ids=["charpoly-oracle", "strong-bumps"])
+], ids=["charpoly-oracle"])
 def test_oscillator_seeds_fall_back_to_bisection(p, h, grid, E, check_margin):
-    # levels far from (2j - 1) h leave inverse iteration without a certified
-    # residual; the window is then bisected exactly as without seeds
+    # on 7 nodes the levels lie far from (2j - 1) h, which leaves inverse
+    # iteration without a certified residual; the window is then bisected
+    # exactly as without seeds
     T = discretize(p, h, grid)
     with pytest.raises(ConvergenceError, match="residual bound"):
         eigensolve._levels(T, E, check_margin, seeds=_oscillator(T))
@@ -579,7 +592,7 @@ def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
         return dgttrf(dl, d, du)
 
     def counted_dgttrs(*args):
-        solves.append(factorizations[-1])
+        solves.append(len(factorizations) - 1)   # the level being polished
         return dgttrs(*args)
 
     def recorded_stebz(d, e, **kwargs):
@@ -598,17 +611,24 @@ def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
     assert len(factorizations) == n_f + n_c
     # no coarse operator or block has as many rows as a fine one
     fine_rows = {B.diag.size for B, _ in eigensolve._parity_blocks(Tf) or ((Tf, 0),)}
-    fine_solves = sum(n in fine_rows for n in solves)
+    per_level = np.bincount(solves, minlength=len(factorizations))
+    fine_level = np.isin(factorizations, list(fine_rows))
     # inverse iteration stops at the first iterate its residual bound
-    # certifies.  A seed is its level on the next coarser grid (the
-    # oscillator's (2j - 1) h below the coarse grid) plus the move its
-    # block's previous moves extrapolate, so a fine level takes at most two
-    # solves, and a coarse one about two once its block has three moves
-    # (100 fine and 103 coarse solves for the 50 levels of each grid at
-    # h = 0.16, 12 and 17 for the 6 at h = 0.5, where the first seeds of
-    # each block take the most)
-    assert fine_solves <= 2 * n_f
-    assert len(solves) - fine_solves <= {0.16: 2.1, 0.5: 3}[h] * n_c
+    # certifies, and that bound is about |lam - sigma| times the start
+    # vector's distance from the level's.  A start vector is the level's
+    # oscillator eigenfunction, O(bump + dx^2) from it; a seed is its level
+    # on the next coarser grid (the oscillator's (2j - 1) h below the coarse
+    # grid) plus the move its block's previous moves extrapolate.  So every
+    # fine level takes one solve, and so does every coarse level of the bare
+    # oscillator once its block has three moves (three of its first levels
+    # start ~4e-6 off and take two: 53 coarse solves for 50 levels at
+    # h = 0.16; with the bumps a coarse level takes up to three: 13 for 6
+    # at h = 0.5)
+    assert np.all(per_level[fine_level] == 1)
+    assert per_level[~fine_level].sum() <= {0.16: 1.1, 0.5: 3}[h] * n_c
+    if h == 0.16:
+        for rows in set(factorizations) - fine_rows:
+            assert np.all(per_level[np.equal(factorizations, rows)][3:] == 1)
     fine = [(tol, width) for n, tol, width in stebz if n in fine_rows]
     assert len(fine) == len(fine_rows)
     # neither grid is bisected: each dstebz call only counts its window
@@ -661,3 +681,37 @@ def test_keep_hands_out_the_vector_of_a_seeded_window(p, j):
     res = _dd.residual_norm(T.diag, T.off_value, u, spec.eigenvalues[j - 1],
                             spec.eigenvalues_lo[j - 1]) / np.linalg.norm(u)
     assert res <= eigensolve._floor(T.diag, T.off_value)
+
+
+# ---------------------------------------------------------------------------
+# start vectors: the oscillator's eigenfunctions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [7, 4095, 32767])
+@pytest.mark.parametrize("h", [0.02, 0.25, 1.0])
+def test_every_start_vector_is_finite_with_unit_norm(h, n):
+    # at small h psi_0 underflows to 0 in the tails, where the recurrence
+    # then stays 0; no level of any block may overflow or vanish
+    xi = Grid(8.0, n).nodes() / math.sqrt(h)
+    m = n // 2
+    for rows, parity in ((xi, 0), (xi[m:], 1), (xi[m + 1:], -1)):
+        vectors = eigensolve._oscillator_vectors(rows, parity)
+        for _ in range(eigensolve.LEVEL_CAP):
+            v = next(vectors)
+            assert np.all(np.isfinite(v))
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("h, n", [(1.0, 511), (0.25, 4095), (0.02, 16383)])
+def test_a_block_start_stands_for_the_oscillator_eigenfunction(h, n):
+    # the even or odd block's start for level j expands to psi_j on the full
+    # grid, the start that a non-mirror operator's level j takes
+    xi = Grid(8.0, n).nodes() / math.sqrt(h)
+    m = n // 2
+    full = eigensolve._oscillator_vectors(xi, 0)
+    blocks = (eigensolve._oscillator_vectors(xi[m:], 1),
+              eigensolve._oscillator_vectors(xi[m + 1:], -1))
+    for j in range(eigensolve.LEVEL_CAP):
+        parity = 1 - 2 * (j % 2)
+        u = eigensolve._full_vector(next(blocks[j % 2]), parity) / math.sqrt(2.0)
+        np.testing.assert_allclose(u, next(full), rtol=0, atol=1e-13)

@@ -57,6 +57,14 @@ def test_reflected_direction_on_symmetric_base(ground):
     assert w.d_minus == pytest.approx(w.d_plus, abs=1e-12 * max(1.0, w.d_plus))
 
 
+def test_ground_vector_tails_decay_with_the_eigenfunction():
+    # at h = 0.05 the ground state is ~exp(-x^2/2h), 1e-109 at |x| = 5; the
+    # start vector's tail must not leave other levels' parts there above it
+    level = solve_level(PotentialSpec(), 0.05, 1, Grid(8.0, 16383))
+    x = level.T.grid.nodes()
+    assert np.max(np.abs(level.u[np.abs(x) >= 5.0])) < 1e-100
+
+
 @pytest.mark.parametrize("j", [0, -1])
 def test_level_index_below_one_is_an_error(j):
     # j = 0 used to solve the ground level and label it j = 0
