@@ -564,11 +564,14 @@ def test_oscillator_seeded_levels_match_bisection(t, eps, reflect, h, n, E):
 
 @pytest.mark.parametrize("p, h, grid, E, check_margin", [
     (harmonic(), 1.0, Grid(3.0, 7), 1e6, False),    # validate's charpoly oracle
-], ids=["charpoly-oracle"])
+    (PotentialSpec(t=1.0, eps=1.0), 0.5, Grid(8.0, 255), 12.0, True),
+], ids=["charpoly-oracle", "strong-bumps"])
 def test_oscillator_seeds_fall_back_to_bisection(p, h, grid, E, check_margin):
-    # on 7 nodes the levels lie far from (2j - 1) h, which leaves inverse
-    # iteration without a certified residual; the window is then bisected
-    # exactly as without seeds
+    # on 7 nodes, or with strong bumps on 255 (level 11 sits at 10.570, its
+    # extrapolated seed 0.05 below it, the start vector O(dx^2) off at
+    # dx = 1/16), the levels lie too far from (2j - 1) h and its
+    # eigenfunctions, which leaves inverse iteration without a certified
+    # residual; the window is then bisected exactly as without seeds
     T = discretize(p, h, grid)
     with pytest.raises(ConvergenceError, match="residual bound"):
         eigensolve._levels(T, E, check_margin, seeds=_oscillator(T))
