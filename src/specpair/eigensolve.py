@@ -75,6 +75,12 @@ level it names, so no level is factored twice; that level alone takes
 inverse iteration's confirming solve (a value needs only a certified
 residual, a vector that is used needs the solve's accuracy), and a block
 vector expands to an exactly even or odd vector on the full grid.
+
+LAPACK is reached through ``scipy.linalg``, imported inside the two
+functions that call it (``dstebz`` in ``_levels``, ``dgttrf``/``dgttrs``
+in ``_inverse_iteration``), so importing this module, or parsing a config,
+loads no scipy.  Each call looks the routines up on ``scipy.linalg`` and
+``scipy.linalg.lapack``, which is where a test wraps them to count calls.
 """
 
 from __future__ import annotations
@@ -84,8 +90,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import _dd
 from .errors import ConvergenceError, GridMarginError, PreconditionError, WindowCapError
@@ -281,6 +285,8 @@ def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, floor: float, lam:
     (``_levels``), so its rounding stays at eps^2 ||T|| however far ``lam``
     started from the level.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs   # see the module docstring
+
     sigma = lam + INVERSE_SHIFT
     dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - sigma, offdiag)
     if info != 0:
@@ -444,6 +450,8 @@ def _levels(op: TridiagonalOperator, E: float, check_margin: bool = True,
     alternation is block k's level i for j = i * len(parts) + k + 1; only
     that level takes inverse iteration's confirming solve.
     """
+    from scipy.linalg import eigvalsh_tridiagonal   # see the module docstring
+
     if check_margin and op.v_boundary < E + 10.0:
         raise GridMarginError(
             f"V at the boundary is {op.v_boundary:.3f} < E + 10 = {E + 10.0:.3f}; "

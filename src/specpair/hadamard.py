@@ -60,14 +60,16 @@ def _polished_pair_difference(T_base: TridiagonalOperator, bvals: np.ndarray,
     the Rayleigh quotient is taken against the exact T +- eps*B, so the two
     eigenvalues share the base matrix bit for bit and their difference
     survives the cancellation.  Both iterations start from the base
-    level's vector ``u``.
+    level's vector ``u``.  Only the Rayleigh quotient of each vector is
+    used, and its error is already floor^2/gap, so neither takes inverse
+    iteration's confirming solve.
     """
     diffs = []
     start = u / np.linalg.norm(u)
     for sgn in (+1.0, -1.0):
         diag = T_base.diag + (sgn * eps_fd) * bvals
         v, _ = _inverse_iteration(diag, T_base.offdiag, _floor(diag, T_base.off_value),
-                                  lam_guess, start)
+                                  lam_guess, start, confirm=False)
         corr = _dd.rayleigh_correction(T_base.diag, T_base.off_value, v, lam_guess,
                                        extra_diag=bvals, extra_scale=sgn * eps_fd)
         diffs.append(_dd.two_sum(lam_guess, corr))

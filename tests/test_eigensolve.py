@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from specpair import _dd, eigensolve
 from specpair.cli import charpoly_roots
@@ -189,7 +190,7 @@ def test_polish_factors_once_per_level(monkeypatch):
     calls = {"dgttrf": 0, "dgttrs": 0}
 
     def counted(name):
-        fn = getattr(eigensolve, name)
+        fn = getattr(lapack, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -197,7 +198,7 @@ def test_polish_factors_once_per_level(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(eigensolve, name, counted(name))
+        monkeypatch.setattr(lapack, name, counted(name))
     T = discretize(harmonic(), 0.5, Grid(8.0, 4095))
     spec = eigenvalues_below(T, 8.0)
     assert len(spec) == 8
@@ -401,8 +402,8 @@ def test_eigenvector_takes_one_confirming_solve(monkeypatch, p, j):
     # takes one more solve
     T = discretize(p, 1.0, Grid(8.0, 4095))
     solves = []
-    dgttrs = eigensolve.dgttrs
-    monkeypatch.setattr(eigensolve, "dgttrs", lambda *args: solves.append(None) or dgttrs(*args))
+    dgttrs = lapack.dgttrs
+    monkeypatch.setattr(lapack, "dgttrs", lambda *args: solves.append(None) or dgttrs(*args))
     spec = eigensolve._levels(T, 9.5)
     values = len(solves)
     solves.clear()
@@ -587,8 +588,8 @@ def test_oscillator_seeds_fall_back_to_bisection(p, h, grid, E, check_margin):
                                      (PotentialSpec(), 0.5, 6.0)])
 def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
     factorizations, solves, stebz = [], [], []
-    dgttrf, dgttrs = eigensolve.dgttrf, eigensolve.dgttrs
-    stebz_fn = eigensolve.eigvalsh_tridiagonal
+    dgttrf, dgttrs = lapack.dgttrf, lapack.dgttrs
+    stebz_fn = scipy.linalg.eigvalsh_tridiagonal
 
     def counted_dgttrf(dl, d, du):
         factorizations.append(d.size)
@@ -603,9 +604,9 @@ def test_refine_polishes_fine_levels_without_bisecting(monkeypatch, p, h, E):
         stebz.append((d.size, kwargs["tol"], hi - lo))
         return stebz_fn(d, e, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "dgttrf", counted_dgttrf)
-    monkeypatch.setattr(eigensolve, "dgttrs", counted_dgttrs)
-    monkeypatch.setattr(eigensolve, "eigvalsh_tridiagonal", recorded_stebz)
+    monkeypatch.setattr(lapack, "dgttrf", counted_dgttrf)
+    monkeypatch.setattr(lapack, "dgttrs", counted_dgttrs)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", recorded_stebz)
     gf = Grid(8.0, 16383)
     spec = refine(p, h, E, gf)
     Tf = discretize(p, h, gf)
@@ -651,7 +652,7 @@ def test_a_coarse_window_with_an_extra_level_polishes_only_the_fine_count(monkey
     coarse = eigenvalues_below(Tc, E)
     assert len(coarse) == count_below(Tf, E) + 1 == 5
     factorizations, bisected = [], []
-    dgttrf, levels = eigensolve.dgttrf, eigensolve._levels
+    dgttrf, levels = lapack.dgttrf, eigensolve._levels
 
     def counted_dgttrf(*args):
         factorizations.append(args[1].size)
@@ -661,7 +662,7 @@ def test_a_coarse_window_with_an_extra_level_polishes_only_the_fine_count(monkey
         bisected.append(seeds is None)
         return levels(op, E, check_margin, seeds, keep)
 
-    monkeypatch.setattr(eigensolve, "dgttrf", counted_dgttrf)
+    monkeypatch.setattr(lapack, "dgttrf", counted_dgttrf)
     monkeypatch.setattr(eigensolve, "_levels", recorded)
     got = eigensolve._polished_levels(Tf, E, coarse=coarse)
     assert factorizations == [gf.n] * 4

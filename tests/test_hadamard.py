@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lapack
 
-from specpair import cli, eigensolve, hadamard
+from specpair import cli, hadamard
 from specpair.errors import PreconditionError
 from specpair.potential import BumpSpec, PotentialSpec, bump_eval, harmonic
 from specpair.eigensolve import Grid
@@ -168,7 +169,7 @@ def test_second_order_decay_invariant(ground):
 
 def test_hadamard_check_solves_each_row_once(monkeypatch, tmp_path):
     calls = {"dgttrf": 0, "solve_level": 0}
-    dgttrf = eigensolve.dgttrf
+    dgttrf = lapack.dgttrf
     solve = hadamard.solve_level
 
     def counted(*args, **kwargs):
@@ -179,7 +180,7 @@ def test_hadamard_check_solves_each_row_once(monkeypatch, tmp_path):
         calls["solve_level"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "dgttrf", counted)
+    monkeypatch.setattr(lapack, "dgttrf", counted)
     monkeypatch.setattr(hadamard, "solve_level", counted_solve)
     # a level solve: 2 levels in the window, the vector kept from the first
     level = hadamard.solve_level(harmonic(), 1.0, 1, GRID)
