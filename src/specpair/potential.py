@@ -36,9 +36,9 @@ class BumpSpec:
 
     The profile is C^inf, vanishes identically outside
     ``(center - half_width, center + half_width)``, peaks at ``center`` with
-    value ``amplitude`` and is nonnegative everywhere.  It has two spellings
-    that may differ in the last bit: numpy's (``bump_eval``, for the matrix
-    path) and ``math``'s (``scalar``, for the shooting kernel).
+    value ``amplitude`` and is nonnegative everywhere.  ``bump_eval``
+    evaluates it in numpy's arithmetic; ``PotentialSpec.scalar`` writes it
+    out in ``math``'s, which may differ in the last bit.
     """
 
     center: float
@@ -58,18 +58,6 @@ class BumpSpec:
         """Upper bound on |d bump/dx|, exact up to dense sampling."""
         u = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 20001)
         return float(np.max(np.abs(_mollifier_du(u))) * self.amplitude / self.half_width)
-
-    def scalar(self):
-        """The bump as a closure x -> float in ``math`` arithmetic, for scalar loops."""
-        c, w, a = self.center, self.half_width, self.amplitude
-
-        def bump(x: float) -> float:
-            u = (x - c) / w
-            if -1.0 < u < 1.0:
-                return a * math.exp(1.0 - 1.0 / (1.0 - u * u))
-            return 0.0
-
-        return bump
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "BumpSpec":
@@ -157,6 +145,32 @@ class PotentialSpec:
         whether a bump is off by its strength or by its amplitude.
         """
         return self.t * self.alpha.amplitude + self.eps * self.beta.amplitude
+
+    def scalar(self):
+        """V as a closure x -> float in ``math`` arithmetic, for the shooting kernel.
+
+        ``potential_eval``'s operations in their order, with ``math.exp`` for
+        ``np.exp``, so the two may differ in the last bit.  A bump outside its
+        support adds nothing: its 0.0 would leave V >= 0 unchanged.
+        """
+        t, eps, reflect = self.t, self.eps, self.reflect_beta
+        ac, aw, aa = self.alpha.center, self.alpha.half_width, self.alpha.amplitude
+        bc, bw, ba = self.beta.center, self.beta.half_width, self.beta.amplitude
+        exp = math.exp
+
+        def v(x: float) -> float:
+            vx = x * x
+            if t != 0.0:
+                u = (x - ac) / aw
+                if -1.0 < u < 1.0:
+                    vx += t * (aa * exp(1.0 - 1.0 / (1.0 - u * u)))
+            if eps != 0.0:
+                u = ((-x if reflect else x) - bc) / bw
+                if -1.0 < u < 1.0:
+                    vx += eps * (ba * exp(1.0 - 1.0 / (1.0 - u * u)))
+            return vx
+
+        return v
 
     def reflected(self) -> "PotentialSpec":
         """The mirror partner (beta reflection toggled, everything else shared)."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _rk
 from .errors import BracketError, PreconditionError, check_root
-from .potential import PotentialSpec, harmonic
+from .potential import PotentialSpec
 
 
 EPS_PER_LENGTH = 1e-11   # local error per unit length of the angle integrations
@@ -28,42 +28,16 @@ MAX_STEP = 0.02          # their largest step, so traces sample the path densely
 COMPARE_TOL = 1e-9       # slack of the angle and solution orderings
 
 
-@dataclass(frozen=True)
-class CoefficientQ:
-    """Coefficient Q(x) = (lam - V(x)) / h^2 of the angle equation.
+def coefficient(p: PotentialSpec, lam: float, h: float):
+    """Q(x) = (lam - V(x)) / h^2 of the angle equation, as a closure x -> float.
 
-    The default potential is the bare oscillator V = x^2.  With a bump
-    perturbation t*alpha >= 0 added, the perturbed coefficient lies below
-    the unperturbed one pointwise, which drives the comparison results.
-    Setting ``const`` overrides everything with Q(x) = const (useful for
-    closed-form checks).
+    V is ``p.scalar()``.  A bump t*alpha >= 0 puts the perturbed
+    coefficient below the bare oscillator's pointwise, which drives the
+    comparison results.
     """
-
-    lam: float
-    potential: PotentialSpec = harmonic()
-    h: float = 1.0
-    const: float | None = None
-
-    def scalar_fn(self):
-        """A fast scalar closure x -> Q(x), V's bumps in their ``math`` spelling."""
-        if self.const is not None:
-            cval = float(self.const)
-            return lambda x: cval
-        lam = self.lam
-        inv_h2 = 1.0 / (self.h * self.h)
-        p = self.potential
-        t, eps, reflect = p.t, p.eps, p.reflect_beta
-        alpha, beta = p.alpha.scalar(), p.beta.scalar()
-
-        def q(x: float) -> float:
-            v = x * x
-            if t != 0.0:
-                v += t * alpha(x)
-            if eps != 0.0:
-                v += eps * beta(-x if reflect else x)
-            return (lam - v) * inv_h2
-
-        return q
+    v = p.scalar()
+    inv_h2 = 1.0 / (h * h)
+    return lambda x: (lam - v(x)) * inv_h2
 
 
 @dataclass
@@ -77,14 +51,16 @@ class PrueferTrace:
 
 @dataclass(frozen=True)
 class TracePair:
-    """Traces of the angle systems of ``q_big`` and ``q_small`` from one start.
+    """Traces of the angle systems of two coefficients from one start.
 
-    Both must start at the same (x, theta) and share their abscissae, which
-    ``integrate_angle_pair`` guarantees; any other pair is refused here.
+    ``q_big`` and ``q_small`` are the coefficients x -> Q(x), as
+    ``coefficient`` builds them.  Both traces must start at the same
+    (x, theta) and share their abscissae, which ``integrate_angle_pair``
+    guarantees; any other pair is refused here.
     """
 
-    q_big: CoefficientQ
-    q_small: CoefficientQ
+    q_big: object
+    q_small: object
     big: PrueferTrace
     small: PrueferTrace
 
@@ -97,7 +73,7 @@ class TracePair:
                 "traces must share their abscissae; integrate them with integrate_angle_pair")
 
 
-def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float) -> PrueferTrace:
+def integrate_angle(q, x0: float, theta0: float, x1: float) -> PrueferTrace:
     """Integrate the angle (and log-radius) equation from (x0, theta0) to x1.
 
     The pair integrator with both members ``q``: the step control takes the
@@ -107,20 +83,17 @@ def integrate_angle(q: CoefficientQ, x0: float, theta0: float, x1: float) -> Pru
     return integrate_angle_pair(q, q, x0, theta0, x1).big
 
 
-def integrate_angle_pair(q_big: CoefficientQ, q_small: CoefficientQ,
-                         x0: float, theta0: float, x1: float) -> TracePair:
+def integrate_angle_pair(q_big, q_small, x0: float, theta0: float, x1: float) -> TracePair:
     """Integrate both angle systems jointly so the traces share step points."""
     if not x0 < x1:
         raise PreconditionError("need x0 < x1")
-    qb = q_big.scalar_fn()
-    qs = q_small.scalar_fn()
 
     def rhs(x, y):
         thb, lrb, ths, lrs = y
         sb, cb = math.sin(thb), math.cos(thb)
         ss, cs = math.sin(ths), math.cos(ths)
-        qqb = qb(x)
-        qqs = qs(x)
+        qqb = q_big(x)
+        qqs = q_small(x)
         return (qqb * sb * sb + cb * cb, (1.0 - qqb) * sb * cb,
                 qqs * ss * ss + cs * cs, (1.0 - qqs) * ss * cs)
 
@@ -145,8 +118,7 @@ def compare_angles(pair: TracePair) -> AngleComparison:
     Requires Q_small <= Q_big on the pair's span (validated by dense
     sampling of the coefficients).
     """
-    qb = pair.q_big.scalar_fn()
-    qs = pair.q_small.scalar_fn()
+    qb, qs = pair.q_big, pair.q_small
     xs = pair.big.xs
     for x in np.arange(xs[0], xs[-1] + 5e-4, 1e-3):
         if qs(float(x)) > qb(float(x)) + 1e-12:
@@ -221,8 +193,7 @@ def shoot_eigenvalue(p: PotentialSpec, h: float, j: int, L: float,
     target = j * math.pi
 
     def g(lam: float) -> float:
-        qf = CoefficientQ(lam=lam, potential=p, h=h).scalar_fn()
-        return _rk.angle_end(qf, -L, L, eps_per_length, 0.05) - target
+        return _rk.angle_end(coefficient(p, lam, h), -L, L, eps_per_length, 0.05) - target
 
     # V >= x^2 puts lambda_j above (2j-1) h > lo, so g(lo) < 0 needs no check
     base = (2.0 * j - 1.0) * h

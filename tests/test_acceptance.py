@@ -19,7 +19,7 @@ from specpair.hadamard import (
     variation_check,
 )
 from specpair.pruefer import (
-    CoefficientQ,
+    coefficient,
     compare_angles,
     compare_solutions,
     integrate_angle_pair,
@@ -136,8 +136,8 @@ def test_criterion_07_matching_suite(weber_bundle):
     props = check_properties(w)
     ident = c_identities(w, u1)
 
-    qb = CoefficientQ(lam=lam1)
-    qs = CoefficientQ(lam=lam1, potential=base)
+    qb = coefficient(harmonic(), lam1, 1.0)
+    qs = coefficient(base, lam1, 1.0)
     th0 = math.atan2(float(w.dense(-3.0)), float(w.dense.derivative(-3.0)))
     pair = integrate_angle_pair(qb, qs, -3.0, th0, -w.a)
     ang = compare_angles(pair)

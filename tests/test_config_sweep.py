@@ -31,10 +31,6 @@ KNOWN_FAILURES = {
         "fault: CHANGES.md FOUND on `cli._exp_spectrum` `eigensolve.ground_above_h` "
         "across the config space (the estimate |fine - coarse|/3 overstates the "
         "refined value's error by ~1e5)"),
-    ("hadamard-check", "hadamard.asymmetry_witness"): KnownFailure(
-        lambda t, eps, h: t == 0.0,
-        "fault: CHANGES.md FOUND on `cli._exp_hadamard` `hadamard.asymmetry_witness` "
-        "at t = 0 (the symmetric control's gap is exactly 0, yet significance is asked)"),
     ("hadamard-check", "hadamard.second_order_shrinkage"): KnownFailure(
         lambda t, eps, h: t == 0.0 and h == 2.0,
         "fault: CHANGES.md FOUND on `cli._exp_hadamard` `hadamard.second_order_shrinkage` "

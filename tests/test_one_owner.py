@@ -5,8 +5,8 @@ profile, ``eigensolve.richardson`` alone writes the Richardson combine,
 
 The checks read the package sources, so a second copy of the profile, of
 the combine or of the floor, a reach into ``potential``'s private names, a
-test of a bump strength outside ``potential`` or a hard-coded support list
-fails here before it can drift from the one owner.
+test or a local copy of a bump strength outside ``potential`` or a
+hard-coded support list fails here before it can drift from the one owner.
 """
 
 import ast
@@ -115,16 +115,30 @@ def test_weyl_term_holds_no_literal_support_list():
     assert literals == []
 
 
-def _strength_reads(name: str, tree) -> list[str]:
-    """``module.function`` of every comparison or arithmetic with an operand ``.t`` or ``.eps``.
+def _copies(node: ast.Assign) -> list:
+    """The values ``node`` binds straight to a local name: ``t = p.t``, ``t, e = p.t, p.eps``."""
+    pairs = []
+    for target in node.targets:
+        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple) \
+                and len(target.elts) == len(node.value.elts):
+            pairs += zip(target.elts, node.value.elts)
+        else:
+            pairs.append((target, node.value))
+    return [value for target, value in pairs if isinstance(target, ast.Name)]
 
-    The operand must read a named object (``p.t``, ``level.p.eps``), not a
+
+def _strength_reads(name: str, tree) -> list[str]:
+    """``module.function`` of every use of ``.t``, ``.eps`` or ``.reflect_beta``.
+
+    A use is an operand of a comparison or of arithmetic, or a copy straight
+    into a local name, which would hide the later tests of that name.  The
+    attribute must read a named object (``p.t``, ``level.p.eps``), not a
     call's result such as machine epsilon, ``np.finfo(float).eps``.
     """
     reads = []
 
     def strength(o):
-        return isinstance(o, ast.Attribute) and o.attr in ("t", "eps") \
+        return isinstance(o, ast.Attribute) and o.attr in ("t", "eps", "reflect_beta") \
             and isinstance(o.value, (ast.Name, ast.Attribute))
 
     def visit(node, where):
@@ -134,6 +148,8 @@ def _strength_reads(name: str, tree) -> list[str]:
             operands = [node.left, *node.comparators]
         elif isinstance(node, ast.BinOp):
             operands = [node.left, node.right]
+        elif isinstance(node, ast.Assign):
+            operands = _copies(node)
         else:
             operands = []
         if any(strength(o) for o in operands):

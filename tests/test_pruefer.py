@@ -11,8 +11,8 @@ from specpair.potential import BumpSpec, PotentialSpec, harmonic, \
     potential_eval
 from specpair.eigensolve import Grid, refine
 from specpair.pruefer import (
-    CoefficientQ,
     TracePair,
+    coefficient,
     compare_angles,
     compare_solutions,
     integrate_angle,
@@ -36,14 +36,14 @@ def rk4_fixed(rhs, x0, y0, x1, n):
 
 
 def test_constant_one_angle_is_linear():
-    q = CoefficientQ(lam=0.0, const=1.0)
+    q = lambda x: 1.0
     tr = integrate_angle(q, -1.0, 0.4, 3.0)
     np.testing.assert_allclose(tr.thetas, 0.4 + (tr.xs + 1.0), atol=1e-10, rtol=0)
 
 
 def test_constant_zero_closed_form():
     # theta' = cos^2(theta) integrates to tan(theta) = tan(theta0) + (x - x0)
-    q = CoefficientQ(lam=0.0, const=0.0)
+    q = lambda x: 0.0
     th0 = 0.3
     tr = integrate_angle(q, 0.0, th0, 5.0)
     expected = np.arctan(math.tan(th0) + tr.xs)
@@ -55,7 +55,7 @@ def test_constant_zero_closed_form():
 
 def test_angle_against_fixed_step_oracle():
     lam = 2.3
-    q = CoefficientQ(lam=lam)
+    q = coefficient(harmonic(), lam, 1.0)
 
     def rhs(x, y):
         s, c = math.sin(y[0]), math.cos(y[0])
@@ -67,7 +67,7 @@ def test_angle_against_fixed_step_oracle():
 
 
 def test_integration_deterministic():
-    q = CoefficientQ(lam=1.3, potential=PotentialSpec())
+    q = coefficient(PotentialSpec(), 1.3, 1.0)
     t1 = integrate_angle(q, -3.0, 0.7, 0.0)
     t2 = integrate_angle(q, -3.0, 0.7, 0.0)
     assert np.array_equal(t1.thetas, t2.thetas)
@@ -75,7 +75,7 @@ def test_integration_deterministic():
 
 
 def test_trace_node_count():
-    q = CoefficientQ(lam=5.3)
+    q = coefficient(harmonic(), 5.3, 1.0)
     tr = integrate_angle(q, -6.0, 0.0, 6.0)
     # lam = 5.3 sits between the 3rd and 4th Dirichlet levels: theta(L) in (3pi, 4pi)
     assert 3.0 * math.pi < tr.thetas[-1] < 4.0 * math.pi
@@ -98,9 +98,8 @@ def integrate_end_angle(qf, x0, x1, eps_per_length, max_step):
        const=st.none() | st.floats(-5.0, 30.0),
        eps_per_length=st.sampled_from([3e-10, 1e-9]))
 def test_angle_end_is_integrate_bit_for_bit(lam, h, t, eps, reflect, const, eps_per_length):
-    q = CoefficientQ(lam=lam, potential=PotentialSpec(t=t, eps=eps, reflect_beta=reflect),
-                     h=h, const=const)
-    qf = q.scalar_fn()
+    p = PotentialSpec(t=t, eps=eps, reflect_beta=reflect)
+    qf = coefficient(p, lam, h) if const is None else lambda x: const
     got = _rk.angle_end(qf, -8.0, 8.0, eps_per_length, 0.05)
     assert got.hex() == integrate_end_angle(qf, -8.0, 8.0, eps_per_length, 0.05).hex()
 
@@ -114,20 +113,20 @@ BUMPS = st.builds(BumpSpec, center=st.floats(-5.0, 5.0), half_width=st.floats(0.
        reflect=st.booleans(), data=st.data())
 def test_shooting_kernel_and_matrix_path_spell_the_same_potential(alpha, beta, t, eps,
                                                                    reflect, data):
-    # Q's bumps use math.exp and potential_eval's numpy's exp: they may
+    # the scalar V uses math.exp and potential_eval numpy's exp: they may
     # differ in the last bit, nowhere by more
     p = PotentialSpec(t=t, eps=eps, reflect_beta=reflect, alpha=alpha, beta=beta)
     edges = [s * e for b in (alpha, beta) for e in b.support for s in (-1.0, 1.0)]
     near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
     x = data.draw(st.floats(-8.0, 8.0) | st.sampled_from(edges + near), label="x")
     v = potential_eval(p, x)
-    got = -CoefficientQ(lam=0.0, potential=p).scalar_fn()(x)
+    got = p.scalar()(x)
     assert abs(got - v) <= 4.0 * math.ulp(max(1.0, v))
 
 
 def test_angle_end_step_collapse_raises():
     # no step can meet a tolerance of 1e-300 per unit length
-    qf = CoefficientQ(lam=1.0).scalar_fn()
+    qf = coefficient(harmonic(), 1.0, 1.0)
     with pytest.raises(ConvergenceError, match="collapsed"):
         _rk.angle_end(qf, -1.0, 1.0, 1e-300, 0.05)
     with pytest.raises(ConvergenceError, match="collapsed"):
@@ -145,17 +144,17 @@ def test_shoot_non_convergence_is_typed(monkeypatch):
 def test_shoot_integrates_each_lam_once(monkeypatch, j):
     # the bracket loop's last end angle is brentq's f(b); it is not integrated again
     lams, calls = [], []
-    scalar_fn, angle_end = CoefficientQ.scalar_fn, _rk.angle_end
+    coefficient, angle_end = pruefer.coefficient, _rk.angle_end
 
-    def recording_scalar_fn(q):
-        lams.append(q.lam)
-        return scalar_fn(q)
+    def recording_coefficient(p, lam, h):
+        lams.append(lam)
+        return coefficient(p, lam, h)
 
     def counting_angle_end(*args):
         calls.append(args)
         return angle_end(*args)
 
-    monkeypatch.setattr(CoefficientQ, "scalar_fn", recording_scalar_fn)
+    monkeypatch.setattr(pruefer, "coefficient", recording_coefficient)
     monkeypatch.setattr(_rk, "angle_end", counting_angle_end)
     lam = shoot_eigenvalue(PotentialSpec(), 1.0, j, 8.0)
     assert len(calls) == len(lams) == len(set(lams))
@@ -181,7 +180,7 @@ def test_shoot_matches_matrix_for_perturbed_pair():
 
 
 def test_compare_angles_identical():
-    q = CoefficientQ(lam=1.2)
+    q = coefficient(harmonic(), 1.2, 1.0)
     rep = compare_angles(integrate_angle_pair(q, q, -3.0, 0.6, 0.0))
     assert rep.ok
     assert rep.min_margin == 0.0
@@ -190,8 +189,8 @@ def test_compare_angles_identical():
 def test_compare_angles_perturbed_below_bare():
     base = PotentialSpec(t=0.05, eps=0.0)
     lam = 1.00005
-    qb = CoefficientQ(lam=lam)
-    qs = CoefficientQ(lam=lam, potential=base)
+    qb = coefficient(harmonic(), lam, 1.0)
+    qs = coefficient(base, lam, 1.0)
     pair = integrate_angle_pair(qb, qs, -3.0, 0.7, 0.0)
     rep = compare_angles(pair)
     assert rep.ok
@@ -201,8 +200,8 @@ def test_compare_angles_perturbed_below_bare():
 
 
 def test_compare_angles_strict_for_constants():
-    qb = CoefficientQ(lam=0.0, const=1.0)
-    qs = CoefficientQ(lam=0.0, const=0.0)
+    qb = lambda x: 1.0
+    qs = lambda x: 0.0
     pair = integrate_angle_pair(qb, qs, 0.0, math.pi / 4, 1.0)
     rep = compare_angles(pair)
     assert rep.ok
@@ -210,14 +209,14 @@ def test_compare_angles_strict_for_constants():
 
 
 def test_compare_angles_ordering_precondition():
-    qb = CoefficientQ(lam=0.0, const=0.0)
-    qs = CoefficientQ(lam=0.0, const=1.0)   # larger, violating the ordering
+    qb = lambda x: 0.0
+    qs = lambda x: 1.0   # larger, violating the ordering
     with pytest.raises(PreconditionError, match="Q ordering"):
         compare_angles(integrate_angle_pair(qb, qs, 0.0, 0.5, 1.0))
 
 
 def test_compare_solutions_identical_equations():
-    q = CoefficientQ(lam=1.1)
+    q = coefficient(harmonic(), 1.1, 1.0)
     rep = compare_solutions(integrate_angle_pair(q, q, -3.0, 0.5, -0.5), 0.01)
     assert rep.ok
     assert abs(rep.min_margin) <= 1e-12
@@ -227,8 +226,8 @@ def test_compare_solutions_identical_equations():
 def test_compare_solutions_perturbed_dominates():
     base = PotentialSpec(t=0.05, eps=0.0)
     lam = 1.0000491602443078
-    qb = CoefficientQ(lam=lam)
-    qs = CoefficientQ(lam=lam, potential=base)
+    qb = coefficient(harmonic(), lam, 1.0)
+    qs = coefficient(base, lam, 1.0)
     th0 = 0.25
     rep = compare_solutions(integrate_angle_pair(qb, qs, -3.0, th0, -0.001), 0.00829)
     assert rep.ok
@@ -240,16 +239,14 @@ def test_compare_solutions_against_second_order_oracle():
     # rebuild both solutions by integrating u'' = -Q u directly
     base = PotentialSpec(t=0.05, eps=0.0)
     lam = 1.00005
-    qb = CoefficientQ(lam=lam)
-    qs = CoefficientQ(lam=lam, potential=base)
+    qb = coefficient(harmonic(), lam, 1.0)
+    qs = coefficient(base, lam, 1.0)
     th0 = 0.3
     u0 = 0.008
     rep = compare_solutions(integrate_angle_pair(qb, qs, -3.0, th0, -1.0), u0)
 
-    qf = qs.scalar_fn()
-
     def rhs(x, y):
-        return np.array([y[1], -qf(x) * y[0]])
+        return np.array([y[1], -qs(x) * y[0]])
 
     r0 = u0 / math.sin(th0)
     # drive the oracle to exact trace abscissae (no interpolation error)
@@ -262,13 +259,13 @@ def test_compare_solutions_against_second_order_oracle():
 
 def test_compare_solutions_region_guard():
     # traces that pass the angle pi/2 crossing must be rejected
-    q = CoefficientQ(lam=2.5)
+    q = coefficient(harmonic(), 2.5, 1.0)
     with pytest.raises(PreconditionError):
         compare_solutions(integrate_angle_pair(q, q, -3.0, 1.2, 2.0), 0.01)
 
 
 def test_compare_solutions_start_mismatch():
-    q = CoefficientQ(lam=1.1)
+    q = coefficient(harmonic(), 1.1, 1.0)
     t1 = integrate_angle(q, -3.0, 0.5, 0.0)
     t2 = integrate_angle(q, -3.0, 0.6, 0.0)
     with pytest.raises(PreconditionError, match="start"):
@@ -279,8 +276,8 @@ def test_comparisons_need_shared_abscissae():
     # separately integrated traces step differently past the bump; a pair of
     # them is refused instead of re-integrated behind the caller
     lam = 1.00005
-    qb = CoefficientQ(lam=lam)
-    qs = CoefficientQ(lam=lam, potential=PotentialSpec(t=0.05, eps=0.0))
+    qb = coefficient(harmonic(), lam, 1.0)
+    qs = coefficient(PotentialSpec(t=0.05, eps=0.0), lam, 1.0)
     tb = integrate_angle(qb, -3.0, 0.3, -1.0)
     ts = integrate_angle(qs, -3.0, 0.3, -1.0)
     assert tb.xs[0] == ts.xs[0] and tb.thetas[0] == ts.thetas[0]

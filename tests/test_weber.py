@@ -171,11 +171,11 @@ def test_identity_violation_reported(bundle):
 def test_trace_reconstruction_matches_weber(bundle):
     # integrating the angle system for W's own coefficient and rebuilding
     # r sin(theta) must reproduce the directly integrated W
-    from specpair.pruefer import CoefficientQ, integrate_angle
+    from specpair.pruefer import coefficient, integrate_angle
 
     lam1, _, w = bundle
     th0 = math.atan2(float(w.dense(-3.0)), float(w.dense.derivative(-3.0)))
-    tr = integrate_angle(CoefficientQ(lam=lam1), -3.0, th0, 0.0)
+    tr = integrate_angle(coefficient(harmonic(), lam1, 1.0), -3.0, th0, 0.0)
     r = np.exp(tr.log_rs - tr.log_rs[0])
     w_rec = float(w.dense(-3.0)) / math.sin(th0) * r * np.sin(tr.thetas)
     w_ref = w.dense(tr.xs)
